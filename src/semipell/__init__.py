@@ -49,15 +49,7 @@ from .enumeration import (
     oracle_oc,
     oracle_sp,
 )
-from .recurrence import (
-    CountCache,
-    check_plateau_identity,
-    check_scaling_identity,
-    load_count_cache,
-    save_count_cache,
-    sp,
-    sp_table,
-)
+from .recurrence import check_plateau_identity, check_scaling_identity, sp, sp_table
 from .report import CongruenceReport
 from .series import (
     Series,
@@ -72,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Composition",
     "CongruenceReport",
-    "CountCache",
     "ENUMERATION_LIMIT",
     "NOT_DISTINCT",
     "NOT_UNIMODAL",
@@ -97,7 +88,6 @@ __all__ = [
     "functional_equation_residual",
     "geometric_inverse",
     "is_semi_m_pell",
-    "load_count_cache",
     "max_m_power",
     "membership_failure",
     "oracle_agreement",
@@ -109,7 +99,6 @@ __all__ = [
     "runform_failure",
     "runform_parts",
     "runform_weight",
-    "save_count_cache",
     "sp",
     "sp_table",
     "tau1",

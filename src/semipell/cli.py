@@ -2,9 +2,13 @@
 
 Subcommands: count, table, enum, map, series, check.  Exit codes are
 part of the contract: 0 success, 1 a verification sweep found a
-violation, 2 malformed usage or arguments, 3 an exhaustive search bound
-was exceeded, 4 the input was rejected as not belonging to the domain
+violation, 2 malformed usage or arguments, 3 an input bound was
+exceeded, 4 the input was rejected as not belonging to the domain
 (for example a composition that is not semi-m-Pell handed to map).
+
+The bounds are fixed: enum and the oracle sweep stop at the search
+bounds of the enumeration module, count refuses n above COUNT_LIMIT,
+and series and check funceq refuse orders above ORDER_LIMIT.
 
 Compositions print as (1,2) and run forms as (1^3,2), with the
 multiplicity omitted when it is 1; the same syntax, minus the
@@ -15,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,17 +38,16 @@ from .enumeration import (
     enumerate_sp,
     oracle_agreement,
 )
-from .recurrence import (
-    CountCache,
-    check_plateau_identity,
-    check_scaling_identity,
-    load_count_cache,
-    save_count_cache,
-    sp,
-    sp_table,
-)
+from .recurrence import check_plateau_identity, check_scaling_identity, sp, sp_table
 from .report import CongruenceReport, merge_reports
 from .series import functional_equation_residual, qm_series
+
+# Fixed input bounds, exit 3 beyond them.  A count costs a polynomial in
+# the number of base-m digits of n, under a second at COUNT_LIMIT; the
+# series products are quadratic in the order, a second or two at
+# ORDER_LIMIT.
+COUNT_LIMIT = 10**50
+ORDER_LIMIT = 4096
 
 CHECK_FAMILIES = (
     "oddness",
@@ -129,15 +131,14 @@ def _modulus(text: str) -> int:
     return value
 
 
+def _check_limit(value: int, limit: int, what: str) -> None:
+    if value > limit:
+        raise SearchBoundExceeded(f"{what} refuses {value}, bound is {limit}")
+
+
 def cmd_count(args: argparse.Namespace) -> int:
-    if args.cache:
-        caches = load_count_cache(args.cache) if os.path.exists(args.cache) else {}
-        cache = caches.get(args.m) or CountCache(args.m)
-        value = sp(args.n, args.m, cache)
-        caches[args.m] = cache
-        save_count_cache(args.cache, caches)
-    else:
-        value = sp(args.n, args.m)
+    _check_limit(args.n, COUNT_LIMIT, "count")
+    value = sp(args.n, args.m)
     if args.json:
         print(json.dumps({"n": args.n, "m": args.m, "sp": str(value)}))
     else:
@@ -185,6 +186,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    _check_limit(args.order, ORDER_LIMIT, "series order")
     q = qm_series(args.m, args.order)
     for n, coefficient in enumerate(q.coeffs):
         print(f"{n} {coefficient}")
@@ -196,6 +198,7 @@ def _pick(value: Optional[int], default: int) -> int:
 
 
 def _funceq_report(m: int, order: int) -> CongruenceReport:
+    _check_limit(order, ORDER_LIMIT, "funceq order")
     report = CongruenceReport("funceq", {"m": m, "order": order})
     residual = functional_equation_residual(m, order)
     for n, coefficient in enumerate(residual.coeffs):
@@ -253,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="print sp(n, m)")
     p.add_argument("n", type=_nonneg)
     p.add_argument("m", type=_modulus)
-    p.add_argument("--cache", metavar="PATH", help="read and update a persistent count cache")
     p.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
     p.set_defaults(func=cmd_count)
 

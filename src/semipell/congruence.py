@@ -1,8 +1,9 @@
 """Residue facts about the counts sp(n, m), swept over finite ranges.
 
-Every checker replays one family of congruences through the recurrence
-and returns a CongruenceReport; nothing here is proved, only verified
-instance by instance.
+Every checker replays one family of congruences over a dense range of
+counts from the recurrence (the two-size parity family over its own
+partition counter) and returns a CongruenceReport; nothing here is
+proved, only verified instance by instance.
 
   * oddness: sp(n, m) is odd for every n >= 0.
   * mod 4, base case m = 2: sp(2n + 1, 2) = 2n + 1 (mod 4).
@@ -24,7 +25,7 @@ instance by instance.
 from __future__ import annotations
 
 from .core import check_modulus
-from .recurrence import CountCache, sp
+from .recurrence import _sp_range
 from .report import CongruenceReport
 
 
@@ -38,9 +39,9 @@ def check_oddness(n_max: int, m: int) -> CongruenceReport:
     _check_bound(n_max, "n_max")
     check_modulus(m)
     report = CongruenceReport("oddness", {"m": m, "n_max": n_max})
-    cache = CountCache(m)
+    counts = _sp_range(n_max, m)
     for n in range(n_max + 1):
-        report.record(f"n={n}", sp(n, m, cache) % 2, 1)
+        report.record(f"n={n}", counts[n] % 2, 1)
     return report
 
 
@@ -48,10 +49,10 @@ def check_mod4_base(n_max: int) -> CongruenceReport:
     """sp(2n + 1, 2) mod 4 == (2n + 1) mod 4 for 0 <= n <= n_max."""
     _check_bound(n_max, "n_max")
     report = CongruenceReport("mod4", {"m": 2, "n_max": n_max})
-    cache = CountCache(2)
+    counts = _sp_range(2 * n_max + 1, 2)
     for n in range(n_max + 1):
         arg = 2 * n + 1
-        report.record(f"n={arg}", sp(arg, 2, cache) % 4, arg % 4)
+        report.record(f"n={arg}", counts[arg] % 4, arg % 4)
     return report
 
 
@@ -60,10 +61,10 @@ def check_mod4_general(m: int, j_max: int) -> CongruenceReport:
     check_modulus(m)
     _check_bound(j_max, "j_max")
     report = CongruenceReport("mod4-general", {"m": m, "j_max": j_max})
-    cache = CountCache(m)
+    counts = _sp_range(2 * m * j_max + m + 1, m)
     for j in range(j_max + 1):
-        report.record(f"j={j},n={2 * m * j + 1}", sp(2 * m * j + 1, m, cache) % 4, 1)
-        report.record(f"j={j},n={2 * m * j + m + 1}", sp(2 * m * j + m + 1, m, cache) % 4, 3)
+        report.record(f"j={j},n={2 * m * j + 1}", counts[2 * m * j + 1] % 4, 1)
+        report.record(f"j={j},n={2 * m * j + m + 1}", counts[2 * m * j + m + 1] % 4, 3)
     return report
 
 
@@ -78,11 +79,11 @@ def check_mod3(m: int, j_max: int) -> CongruenceReport:
     _check_mod3_modulus(m)
     _check_bound(j_max, "j_max")
     report = CongruenceReport("mod3", {"m": m, "j_max": j_max})
-    cache = CountCache(m)
+    counts = _sp_range(m * m * j_max + 2 * m - 1, m)
     for j in range(j_max + 1):
         for r in range(1, m):
             arg = m * m * j + m + r
-            report.record(f"j={j},r={r}", sp(arg, m, cache) % 3, 0)
+            report.record(f"j={j},r={r}", counts[arg] % 3, 0)
     return report
 
 
@@ -91,13 +92,13 @@ def check_partial_sum_mod3(m: int, j_max: int) -> CongruenceReport:
     _check_mod3_modulus(m)
     _check_bound(j_max, "j_max")
     report = CongruenceReport("partial-sum", {"m": m, "j_max": j_max})
-    cache = CountCache(m)
+    counts = _sp_range(m * j_max + 1, m)
     total = 0
     upto = 0
     for j in range(j_max + 1):
         while upto < m * j + 1:
             upto += 1
-            total += sp(upto, m, cache)
+            total += counts[upto]
         report.record(f"j={j}", total % 3, 1)
     return report
 
@@ -161,10 +162,9 @@ def check_special_cases(j_max: int = 200) -> CongruenceReport:
     """
     _check_bound(j_max, "j_max")
     report = CongruenceReport("special-cases", {"j_max": j_max})
-    caches = {}
     for label, m, stride, offset, modulus, expected in SPECIAL_CASES:
-        cache = caches.setdefault(m, CountCache(m))
+        counts = _sp_range(stride * j_max + offset, m)
         for j in range(j_max + 1):
             arg = stride * j + offset
-            report.record(f"({label}) j={j}", sp(arg, m, cache) % modulus, expected)
+            report.record(f"({label}) j={j}", counts[arg] % modulus, expected)
     return report

@@ -11,8 +11,9 @@ weight n with residue r = n mod m:
     (add m to the part, or m more ones to the run of ones).
 
 The three sources in the second branch are pairwise disjoint; that is
-asserted during generation and a duplicate is a hard failure, as is an
-object of weight n - m without exactly one residue piece.
+checked during generation and a duplicate is a hard failure (a
+RuntimeError, also under python -O), as is an object of weight n - m
+without exactly one residue piece.
 
 Two oracles cross-check the generators by raw search that shares none
 of the construction logic.  oracle_sp filters every composition of n
@@ -40,7 +41,7 @@ ENUMERATION_LIMIT = 100
 
 
 class SearchBoundExceeded(ValueError):
-    """An exhaustive search was asked to exceed its hard input bound."""
+    """A search or a command was asked to exceed its hard input bound."""
 
 
 def _check_weight(n: int, limit: int, what: str) -> None:
@@ -65,10 +66,12 @@ def _sp_members(n: int, m: int) -> tuple:
         out.append(c + (r,))
     for c in _sp_members(n - m, m):
         residue_at = [i for i, p in enumerate(c) if p % m == r]
-        assert len(residue_at) == 1, f"weight {n - m} member {c} lacks a unique residue part"
+        if len(residue_at) != 1:
+            raise RuntimeError(f"weight {n - m} member {c} lacks a unique residue part")
         i = residue_at[0]
         out.append(c[:i] + (c[i] + m,) + c[i + 1 :])
-    assert len(set(out)) == len(out), f"construction sources overlap at n={n}, m={m}"
+    if len(set(out)) != len(out):
+        raise RuntimeError(f"construction sources overlap at n={n}, m={m}")
     return tuple(out)
 
 
@@ -87,10 +90,12 @@ def _oc_members(n: int, m: int) -> tuple:
         out.append(rf + ((1, r),))
     for rf in _oc_members(n - m, m):
         ones_at = [i for i, (b, _) in enumerate(rf) if b == 1]
-        assert len(ones_at) == 1, f"weight {n - m} run form {rf} lacks a unique run of ones"
+        if len(ones_at) != 1:
+            raise RuntimeError(f"weight {n - m} run form {rf} lacks a unique run of ones")
         i = ones_at[0]
         out.append(rf[:i] + ((1, rf[i][1] + m),) + rf[i + 1 :])
-    assert len(set(out)) == len(out), f"construction sources overlap at n={n}, m={m}"
+    if len(set(out)) != len(out):
+        raise RuntimeError(f"construction sources overlap at n={n}, m={m}")
     return tuple(out)
 
 
@@ -175,7 +180,8 @@ def oracle_oc(n: int, m: int) -> List[RunForm]:
                     chosen.pop()
 
     rec(0, n)
-    assert len(set(found)) == len(found), f"duplicate run form in search at n={n}, m={m}"
+    if len(set(found)) != len(found):
+        raise RuntimeError(f"duplicate run form in search at n={n}, m={m}")
     return sorted(found, key=runform_parts)
 
 

@@ -13,35 +13,28 @@ parts are divisible by m), or m can be added to the unique residue part
 of a composition of n - m.  For m = 2 the sequence 1, 1, 3, 1, 5, 3,
 11, 1, 13, 5, ... is OEIS A129095.
 
-Values are exact Python integers of any size.  The recurrence is
-evaluated with an explicit worklist instead of call-stack recursion, so
-arguments like 10**6 are fine.  A CountCache holds every value computed
-for one modulus and can be persisted to a plain text file, one
-"m n value" triple per line, sorted by (m, n).
+Telescoping the two-term branch gives the plateau identity
+
+    sp(mq + r, m) = 1 + 2 (sp(1, m) + ... + sp(q, m))    for 0 < r < m,
+
+so a point count is a prefix sum of counts at a weight m times smaller.
+sp evaluates that prefix sum in one pass over the base-m digits of q,
+with O(log_m n) levels of exact integer arithmetic and no memo; this is
+the prefix-sum structure of Mahler's partition problem (de Bruijn 1948,
+Knuth 1966).  Dense ranges sp(0..n_max) come from the recurrence itself,
+bottom up; the sweeps read their values from those ranges, so the
+plateau sweep checks the identity sp is built on against an independent
+evaluation.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterable, List, Optional
+from math import comb
+from operator import mul
+from typing import Iterable, List
 
 from .core import check_modulus
 from .report import CongruenceReport
-
-
-class CountCache:
-    """Memo table for one modulus; maps n to sp(n, m)."""
-
-    def __init__(self, m: int, entries: Optional[Dict[int, int]] = None):
-        check_modulus(m)
-        self.m = m
-        self.table: Dict[int, int] = dict(entries) if entries else {}
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __repr__(self) -> str:
-        return f"CountCache(m={self.m}, entries={len(self.table)})"
 
 
 def _check_n(n: int) -> None:
@@ -49,54 +42,94 @@ def _check_n(n: int) -> None:
         raise ValueError(f"weight must be a nonnegative integer, got {n!r}")
 
 
-def sp(n: int, m: int, cache: Optional[CountCache] = None) -> int:
-    """Number of semi-m-Pell compositions of n.
+def _sp_range(n_max: int, m: int) -> List[int]:
+    """sp(0, m), ..., sp(n_max, m) by the three-way recurrence, bottom up."""
+    counts = [1] * (n_max + 1)
+    for k in range(m, n_max + 1):
+        r = k % m
+        counts[k] = counts[k // m] if r == 0 else 2 * counts[k - r] + counts[k - m]
+    return counts
 
-    The optional cache is filled as a side effect and may be reused
-    across calls; it must have been created for the same modulus.
-    Warm and cold caches give identical values.
+
+def _stretched_rows(m: int, c: int, depth: int) -> List[List[int]]:
+    """Row j <= depth lists the integers a_i with C(m t + c, j) = sum_i a_i C(t, i).
+
+    Entry 0 is the value at t = 0.  Entry i + 1 is entry i of the
+    forward difference C(m t + m + c, j) - C(m t + c, j), which by
+    Vandermonde's identity is sum_{a >= 1} C(m, a) C(m t + c, j - a).
+    """
+    choose_m = [comb(m, a) for a in range(min(m, depth) + 1)]
+    rows: List[List[int]] = []
+    for j in range(depth + 1):
+        row = [comb(c, j)]
+        for i in range(j):
+            row.append(sum(choose_m[a] * rows[j - a][i] for a in range(1, min(m, j - i) + 1)))
+        rows.append(row)
+    return rows
+
+
+def _prefix_count(q: int, m: int) -> int:
+    """sp(0, m) + sp(1, m) + ... + sp(q, m), one level per base-m digit of q.
+
+    Each level replaces the prefix x by x' = m x + d and carries
+
+        P[i] = sum_{t < x} C(t, i) sp(t)    and    T = sum_{t <= x} sp(t).
+
+    Splitting k < x' as k = m t + r: the terms r = 0 give sp(t), and
+    the terms 0 < r < m give 2 T(t) - 1 by the plateau identity.  Their
+    binomial weights C(m t + r, j) summed over 0 < r < m are
+    C(m t + m, j + 1) - C(m t + 1, j + 1) (hockey stick), a polynomial of
+    degree j in t, so no level loops over residues.  Rewritten in the
+    basis C(t, i), the sum over t < x of C(t, i) T(t) is
+    C(x, i + 1) P[0] - P[i + 1], and P[j] at x' needs P up to j + 1 at x:
+    the degree the top level needs, 0, rises by one per level below it.
+    """
+    digits = []
+    while q:
+        q, d = divmod(q, m)
+        digits.append(d)
+    depth = len(digits)
+    scaled = _stretched_rows(m, 0, depth)
+    upper = _stretched_rows(m, m, depth + 1)
+    lower = _stretched_rows(m, 1, depth + 1)
+    # fill[j]: the residue block sum_{0<r<m} C(m t + r, j), basis C(t, i)
+    fill = [[u - v for u, v in zip(upper[j + 1], lower[j + 1][: j + 1])] for j in range(depth)]
+    # weight[j][i]: coefficient of P[i] in the full blocks t < x
+    weight = [[a - 2 * b for a, b in zip(scaled[j] + [0], [0] + fill[j])] for j in range(depth)]
+    x, T = 0, 1
+    P = [0] * (depth + 1)
+    for d in reversed(digits):
+        depth -= 1
+        sp_x = T - P[0]
+        choose_x = [comb(x, i + 1) for i in range(depth + 1)]
+        base = m * x
+        nxt = []
+        for j in range(depth + 1):
+            value = sum(map(mul, weight[j], P)) + (2 * P[0] - 1) * sum(map(mul, fill[j], choose_x))
+            if d:
+                # the partial block t = x: residue 0, then residues 1 .. d - 1
+                value += comb(base, j) * sp_x + (2 * T - 1) * (comb(base + d, j + 1) - comb(base + 1, j + 1))
+            nxt.append(value)
+        T = nxt[0] + (2 * T - 1 if d else sp_x)
+        P = nxt
+        x = base + d
+    return T
+
+
+def sp(n: int, m: int) -> int:
+    """Number of semi-m-Pell compositions of n, exact for any size of n.
+
+    Strips factors of m (sp(m q) = sp(q)), then applies the plateau
+    identity; the cost grows with the number of base-m digits of n, not
+    with n.
     """
     _check_n(n)
     check_modulus(m)
-    if cache is None:
-        cache = CountCache(m)
-    elif cache.m != m:
-        raise ValueError(f"cache is for modulus {cache.m}, not {m}")
-    table = cache.table
-    if n in table:
-        return table[n]
-    # Depth-first worklist: a key waits on top of the stack until its
-    # dependencies have values, then gets combined and popped.
-    stack = [n]
-    while stack:
-        k = stack[-1]
-        if k in table:
-            stack.pop()
-            continue
-        if k < m:
-            table[k] = 1
-            stack.pop()
-        elif k % m == 0:
-            q = k // m
-            if q in table:
-                table[k] = table[q]
-                stack.pop()
-            else:
-                stack.append(q)
-        else:
-            a = k - k % m
-            b = k - m
-            va = table.get(a)
-            vb = table.get(b)
-            if va is not None and vb is not None:
-                table[k] = 2 * va + vb
-                stack.pop()
-            else:
-                if va is None:
-                    stack.append(a)
-                if vb is None:
-                    stack.append(b)
-    return table[n]
+    while n and n % m == 0:
+        n //= m
+    if n < m:
+        return 1
+    return 2 * _prefix_count(n // m, m) - 1
 
 
 def sp_table(n_max: int, moduli: Iterable[int]) -> List[List[int]]:
@@ -104,8 +137,8 @@ def sp_table(n_max: int, moduli: Iterable[int]) -> List[List[int]]:
     _check_n(n_max)
     rows = []
     for m in moduli:
-        cache = CountCache(m)
-        rows.append([sp(n, m, cache) for n in range(1, n_max + 1)])
+        check_modulus(m)
+        rows.append(_sp_range(n_max, m)[1:])
     return rows
 
 
@@ -114,18 +147,19 @@ def check_plateau_identity(v_max: int, m: int) -> CongruenceReport:
 
     For every n the m - 1 values sp(nm + 1, m), ..., sp(nm + m - 1, m)
     coincide and equal 1 + 2 * (sp(1, m) + ... + sp(n, m)).  Checked for
-    all n <= v_max.
+    all n <= v_max against the dense recurrence, never against sp, which
+    is built on this identity.
     """
     _check_n(v_max)
     check_modulus(m)
     report = CongruenceReport("plateau", {"m": m, "v_max": v_max})
-    cache = CountCache(m)
+    counts = _sp_range(v_max * m + m - 1, m)
     prefix = 0
     for n in range(v_max + 1):
         expected = 1 + 2 * prefix
         for r in range(1, m):
-            report.record(f"n={n},r={r}", sp(n * m + r, m, cache), expected)
-        prefix += sp(n + 1, m, cache)
+            report.record(f"n={n},r={r}", counts[n * m + r], expected)
+        prefix += counts[n + 1]
     return report
 
 
@@ -138,62 +172,21 @@ def check_scaling_identity(m: int, j_max: int, v_max: int) -> CongruenceReport:
     every admissible weight up to m * v_max + m - 1.  Second, on the
     plateau the value is explicit: sp(m^j * (m*v + r), m) = 2v + 1 for
     0 <= v <= min(v_max, m) and 1 <= r < m, which covers the count-one
-    weights m^j * h with 1 <= h < m as the v = 0 case.
+    weights m^j * h with 1 <= h < m as the v = 0 case.  The scaled
+    weights go through sp; the unscaled counts come from the dense
+    recurrence.
     """
     _check_n(j_max)
     _check_n(v_max)
     check_modulus(m)
     report = CongruenceReport("scaling", {"m": m, "j_max": j_max, "v_max": v_max})
-    cache = CountCache(m)
+    counts = _sp_range(m * v_max + m - 1, m)
     for j in range(j_max + 1):
         scale = m**j
         for h in range(1, m * v_max + m):
             if h % m:
-                report.record(f"j={j},h={h}", sp(scale * h, m, cache), sp(h, m, cache))
+                report.record(f"j={j},h={h}", sp(scale * h, m), counts[h])
         for v in range(min(v_max, m) + 1):
             for r in range(1, m):
-                report.record(f"j={j},v={v},r={r}", sp(scale * (m * v + r), m, cache), 2 * v + 1)
+                report.record(f"j={j},v={v},r={r}", sp(scale * (m * v + r), m), 2 * v + 1)
     return report
-
-
-def save_count_cache(path: str, caches: Dict[int, CountCache]) -> None:
-    """Write caches as sorted "m n value" lines, one triple per line."""
-    rows = []
-    for m in sorted(caches):
-        cache = caches[m]
-        for n in sorted(cache.table):
-            rows.append(f"{m} {n} {cache.table[n]}\n")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(rows)
-    os.replace(tmp, path)
-
-
-def load_count_cache(path: str) -> Dict[int, CountCache]:
-    """Read a cache file back into per-modulus CountCache objects.
-
-    The format is strict: exactly three base-10 fields per line joined
-    by single spaces, no trailing whitespace, lines sorted by (m, n)
-    with no duplicates.  Any malformed line raises ValueError naming the
-    line number.
-    """
-    tables: Dict[int, Dict[int, int]] = {}
-    last_key = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.endswith("\n"):
-                raise ValueError(f"{path}:{lineno}: missing trailing newline")
-            body = line[:-1]
-            fields = body.split(" ")
-            if len(fields) != 3 or not all(f.isdigit() for f in fields):
-                raise ValueError(f"{path}:{lineno}: expected three base-10 fields, got {body!r}")
-            m, n, value = (int(f) for f in fields)
-            if f"{m} {n} {value}" != body:
-                raise ValueError(f"{path}:{lineno}: non-canonical field formatting in {body!r}")
-            if m < 2:
-                raise ValueError(f"{path}:{lineno}: modulus {m} out of range")
-            if last_key is not None and (m, n) <= last_key:
-                raise ValueError(f"{path}:{lineno}: entries not sorted by (m, n)")
-            last_key = (m, n)
-            tables.setdefault(m, {})[n] = value
-    return {m: CountCache(m, entries) for m, entries in tables.items()}

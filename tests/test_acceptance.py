@@ -10,7 +10,6 @@ import time
 from pathlib import Path
 
 from semipell import (
-    CountCache,
     NOT_DISTINCT,
     NOT_UNIMODAL,
     check_mod3,
@@ -100,9 +99,8 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_equinumerosity():
     bad = []
     for m in (2, 3, 4, 5):
-        cache = CountCache(m)
         for n in range(41):
-            count = sp(n, m, cache)
+            count = sp(n, m)
             if len(enumerate_sp(n, m)) != count or len(enumerate_oc(n, m)) != count:
                 bad.append((n, m))
     report(4, "equinumerosity", not bad, f"counts disagree at {bad}")
@@ -133,9 +131,8 @@ def test_criterion_6_generating_function():
     residual_ok = True
     for m in range(2, 9):
         q = qm_series(m, 512)
-        cache = CountCache(m)
         for n in range(513):
-            if q[n] != sp(n, m, cache):
+            if q[n] != sp(n, m):
                 mismatches.append((n, m))
         residual_ok = residual_ok and functional_equation_residual(m, 512).is_zero
     elapsed = time.perf_counter() - start

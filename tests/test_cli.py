@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from semipell import sp
 from semipell.cli import (
+    COUNT_LIMIT,
+    ORDER_LIMIT,
     format_composition,
     format_runform,
     main,
@@ -57,21 +60,6 @@ def test_count_json(capsys):
     code, out, _ = run(capsys, "count", "7", "2", "--json")
     assert code == 0
     assert json.loads(out) == {"n": 7, "m": 2, "sp": "11"}
-
-
-def test_count_cache_roundtrip(tmp_path, capsys):
-    path = str(tmp_path / "counts.txt")
-    code, out1, _ = run(capsys, "count", "40", "2", "--cache", path)
-    assert code == 0
-    first = open(path).read()
-    code, out2, _ = run(capsys, "count", "40", "2", "--cache", path)
-    assert code == 0 and out1 == out2
-    assert open(path).read() == first
-    # a second modulus extends the same file, still sorted
-    code, _, _ = run(capsys, "count", "10", "3", "--cache", path)
-    assert code == 0
-    keys = [tuple(map(int, line.split()[:2])) for line in open(path).read().splitlines()]
-    assert keys == sorted(keys)
 
 
 def test_table_matches_published_values(capsys):
@@ -171,6 +159,36 @@ def test_bound_errors_exit_3(capsys):
     # the oc-only side is allowed further out
     code, _, _ = run(capsys, "check", "oracle", "--m", "2", "--nmax", "30", "--side", "oc")
     assert code == 0
+
+
+def test_count_limit(capsys):
+    assert COUNT_LIMIT >= 10**50
+    code, out, err = run(capsys, "count", str(COUNT_LIMIT + 1), "2")
+    assert code == 3 and out == "" and "bound" in err
+    # m = 3 does not divide the limit, so this is a full-length count
+    code, out, _ = run(capsys, "count", str(COUNT_LIMIT), "3", "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["n"] == COUNT_LIMIT and int(record["sp"]) % 2 == 1
+
+
+def test_series_order_limit(capsys):
+    assert ORDER_LIMIT >= 4096
+    code, out, err = run(capsys, "series", "50", str(ORDER_LIMIT + 1))
+    assert code == 3 and out == "" and "bound" in err
+    code, out, _ = run(capsys, "series", "50", str(ORDER_LIMIT))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == ORDER_LIMIT + 1
+    assert lines[-1] == f"{ORDER_LIMIT} {sp(ORDER_LIMIT, 50)}"
+
+
+def test_funceq_order_limit(capsys):
+    code, out, err = run(capsys, "check", "funceq", "--m", "50", "--order", str(ORDER_LIMIT + 1))
+    assert code == 3 and out == "" and "bound" in err
+    code, out, _ = run(capsys, "check", "funceq", "--m", "50", "--order", str(ORDER_LIMIT))
+    assert code == 0
+    assert out == f"PASS funceq checked={ORDER_LIMIT + 1}\n"
 
 
 def test_check_failure_exits_1(capsys, monkeypatch):

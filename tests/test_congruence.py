@@ -11,7 +11,7 @@ from semipell.congruence import (
     check_special_cases,
     count_two_size_odd_partitions,
 )
-from semipell.recurrence import CountCache, sp
+from semipell.recurrence import sp
 
 
 def test_oddness_sweep():
@@ -69,9 +69,8 @@ def test_partial_sum_sweep():
         report = check_partial_sum_mod3(m, 40)
         assert report.passed and report.checked == 41
     # smallest window by hand: 1+1+1+1+3 = 7 for m=4, j=1 adds up to n=9
-    cache = CountCache(4)
-    assert sum(sp(i, 4, cache) for i in range(1, 6)) % 3 == 1
-    assert sum(sp(i, 4, cache) for i in range(1, 10)) % 3 == 1
+    assert sum(sp(i, 4) for i in range(1, 6)) % 3 == 1
+    assert sum(sp(i, 4) for i in range(1, 10)) % 3 == 1
 
 
 def test_two_size_counter_by_hand():

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semipell
 from semipell.core import is_semi_m_pell, runform_parts, runform_weight, validate_runform, weight
 from semipell.enumeration import (
     ENUMERATION_LIMIT,
@@ -11,7 +15,7 @@ from semipell.enumeration import (
     oracle_oc,
     oracle_sp,
 )
-from semipell.recurrence import CountCache, sp
+from semipell.recurrence import sp
 
 # published member lists, in lexicographic part order
 SP_LISTINGS = {
@@ -67,10 +71,9 @@ def test_base_cases():
 
 def test_enumeration_counts_match_recurrence():
     for m in (2, 3, 4, 5):
-        cache = CountCache(m)
         for n in range(0, 41):
-            assert len(enumerate_sp(n, m)) == sp(n, m, cache)
-            assert len(enumerate_oc(n, m)) == sp(n, m, cache)
+            assert len(enumerate_sp(n, m)) == sp(n, m)
+            assert len(enumerate_oc(n, m)) == sp(n, m)
 
 
 def test_generated_objects_are_valid_and_sorted():
@@ -135,9 +138,8 @@ def test_oracle_spot_values():
 
 
 def test_oracle_counts_match_recurrence_beyond_sp_bound():
-    cache = CountCache(3)
     for n in range(25, 46):
-        assert len(oracle_oc(n, 3)) == sp(n, 3, cache)
+        assert len(oracle_oc(n, 3)) == sp(n, 3)
 
 
 def test_search_bounds_are_enforced():
@@ -171,3 +173,16 @@ def test_generator_members_pass_membership(n, m):
     assert len(members) == sp(n, m)
     for c in members[:50]:
         assert is_semi_m_pell(c, m)
+
+
+def test_package_has_no_assert_statements():
+    # the generators' hard failures must survive python -O, which strips asserts
+    sources = sorted(Path(semipell.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semipell.enumeration import enumerate_oc
-from semipell.recurrence import CountCache, sp
+from semipell.recurrence import sp
 from semipell.series import (
     Series,
     functional_equation_residual,
@@ -74,8 +74,7 @@ def test_counting_series_prefix():
 def test_counting_series_matches_recurrence():
     for m in range(2, 9):
         q = qm_series(m, 128)
-        cache = CountCache(m)
-        assert q.coeffs == [sp(n, m, cache) for n in range(129)]
+        assert q.coeffs == [sp(n, m) for n in range(129)]
 
 
 def test_peak_terms_bucket_the_runforms():
