@@ -8,6 +8,7 @@ from semipell import sp
 from semipell.cli import (
     COUNT_LIMIT,
     ORDER_LIMIT,
+    build_parser,
     format_composition,
     format_runform,
     main,
@@ -60,6 +61,25 @@ def test_count_json(capsys):
     code, out, _ = run(capsys, "count", "7", "2", "--json")
     assert code == 0
     assert json.loads(out) == {"n": 7, "m": 2, "sp": "11"}
+
+
+def test_count_cache_roundtrip(tmp_path, monkeypatch, capsys):
+    # counts are never stored: a file in the old count-cache format, even
+    # one claiming sp(7,2) = 12, cannot change a printed count, and
+    # counting writes no file
+    monkeypatch.chdir(tmp_path)
+    poisoned = tmp_path / "counts.txt"
+    poisoned.write_text("2 7 12\n")
+    for n, expected in (("7", "sp(7,2) = 11\n"), ("40", f"sp(40,2) = {sp(40, 2)}\n")):
+        code, out1, _ = run(capsys, "count", n, "2")
+        assert code == 0 and out1 == expected
+        code, out2, _ = run(capsys, "count", n, "2")
+        assert code == 0 and out2 == out1
+    assert [p.name for p in tmp_path.iterdir()] == ["counts.txt"]
+    assert poisoned.read_text() == "2 7 12\n"
+    # count takes no option that names a file
+    args = build_parser().parse_args(["count", "7", "2"])
+    assert set(vars(args)) == {"command", "n", "m", "json", "func"}
 
 
 def test_table_matches_published_values(capsys):

@@ -1,6 +1,12 @@
+import json
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semipell import recurrence
+from semipell.cli import main
 from semipell.enumeration import oracle_oc, oracle_sp
 from semipell.recurrence import _sp_range, check_plateau_identity, check_scaling_identity, sp, sp_table
 
@@ -56,6 +62,24 @@ def test_large_arguments_do_not_recurse():
     assert sp(3**100 * 2, 3) == 1
 
 
+def test_warm_cache_matches_cold():
+    # sp keeps no memo: a process that has computed many counts agrees
+    # with a fresh interpreter, and the module holds no container that
+    # could carry state from one call to the next
+    warm = [sp(n, 3) for n in range(0, 300)]
+    warm_again = [sp(n, 3) for n in range(0, 300)]
+    code = "from semipell.recurrence import sp; print([sp(n, 3) for n in range(300)])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    cold = json.loads(proc.stdout)
+    assert warm == warm_again == cold == _sp_range(299, 3)
+    state = {
+        name
+        for name, value in vars(recurrence).items()
+        if not name.startswith("__") and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
+    }
+    assert state == set()
+
+
 @given(st.integers(0, 3000), st.integers(2, 9))
 @settings(max_examples=60)
 def test_count_is_odd_and_scale_invariant(n, m):
@@ -93,6 +117,34 @@ def test_scaling_identity_report():
     assert sp(36, 4) == 5  # j=1, v=2, r=1
     assert len(oracle_oc(36, 4)) == 5
     assert sp(2**9 * 7, 2) == sp(7, 2) == 11
+
+
+def test_cache_file_roundtrip(capsys):
+    # the package stores no counts; the JSON record of `count` is their
+    # text form, and it reads back exactly, also far beyond float range
+    for m in (2, 5):
+        for n in list(range(0, 40)) + [10**18 + 1]:
+            assert main(["count", str(n), str(m), "--json"]) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert (record["n"], record["m"], int(record["sp"])) == (n, m, sp(n, m))
+            assert record["sp"] == str(int(record["sp"]))
+
+
+def test_cache_file_is_sorted_single_spaced(capsys):
+    # `table` is the one text format that lists many counts: one tab
+    # between fields, canonical base-10 values, moduli and weights in order
+    assert main(["table", "25", "3", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split("\t")
+    assert header == ["n"] + [str(n) for n in range(1, 26)]
+    labels = []
+    for line, m in zip(lines[1:], range(3, 6)):
+        fields = line.split("\t")
+        assert len(fields) == 26
+        assert all(f == str(int(f)) for f in fields[1:])
+        assert [int(f) for f in fields[1:]] == [sp(n, m) for n in range(1, 26)]
+        labels.append(fields[0])
+    assert labels == ["m=3", "m=4", "m=5"] and len(lines) == 4
 
 
 def test_fast_count_matches_dense_recurrence():
