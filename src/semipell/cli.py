@@ -8,7 +8,10 @@ exceeded, 4 the input was rejected as not belonging to the domain
 
 The bounds are fixed: enum and the oracle sweep stop at the search
 bounds of the enumeration module, count refuses n above COUNT_LIMIT,
-and series and check funceq refuse orders above ORDER_LIMIT.
+series and check funceq refuse orders above ORDER_LIMIT, table and the
+check sweeps refuse dense count ranges past RANGE_LIMIT, ob-parity
+refuses n above OB_PARITY_LIMIT, and scaling refuses scaled weights
+above COUNT_LIMIT.
 
 Compositions print as (1,2) and run forms as (1^3,2), with the
 multiplicity omitted when it is 1; the same syntax, minus the
@@ -24,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .bijection import from_oc, roundtrip_check, to_oc
 from .congruence import (
+    SPECIAL_CASES,
     check_mod3,
     check_mod4_base,
     check_mod4_general,
@@ -44,10 +48,16 @@ from .series import functional_equation_residual, qm_series
 
 # Fixed input bounds, exit 3 beyond them.  A count costs a polynomial in
 # the number of base-m digits of n, under a second at COUNT_LIMIT; the
-# series products are quadratic in the order, a second or two at
-# ORDER_LIMIT.
+# series is built from its sparse factors and running sums in
+# O(order log order), milliseconds at ORDER_LIMIT.  The sweeps allocate
+# a dense count list up to their top weight, and table one per modulus;
+# RANGE_LIMIT bounds that weight, and table's total, at a quarter second
+# and tens of MB.  The two-size parity counter is quadratic, about 1.5 s
+# at OB_PARITY_LIMIT.
 COUNT_LIMIT = 10**50
 ORDER_LIMIT = 4096
+RANGE_LIMIT = 10**6
+OB_PARITY_LIMIT = 10**4
 
 CHECK_FAMILIES = (
     "oddness",
@@ -136,6 +146,15 @@ def _check_limit(value: int, limit: int, what: str) -> None:
         raise SearchBoundExceeded(f"{what} refuses {value}, bound is {limit}")
 
 
+def _scaling_power_limit(m: int, top: int) -> int:
+    """Largest j with m^j * top <= COUNT_LIMIT, for 1 <= top <= COUNT_LIMIT."""
+    j = 0
+    while top * m <= COUNT_LIMIT:
+        top *= m
+        j += 1
+    return j
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     _check_limit(args.n, COUNT_LIMIT, "count")
     value = sp(args.n, args.m)
@@ -150,6 +169,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.m_min > args.m_max:
         raise ValueError("m_min exceeds m_max")
     moduli = range(args.m_min, args.m_max + 1)
+    _check_limit((args.n_max + 1) * len(moduli), RANGE_LIMIT, "table (n_max + 1) * moduli")
     rows = sp_table(args.n_max, moduli)
     print("\t".join(["n"] + [str(n) for n in range(1, args.n_max + 1)]))
     for m, row in zip(moduli, rows):
@@ -213,25 +233,48 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ValueError(f"{family} is a base-two family; omit --m or pass 2")
     if family == "special-cases" and m is not None:
         raise ValueError("special-cases has fixed moduli; omit --m")
+    what = f"{family} top weight"
     if family == "oddness":
-        report = check_oddness(_pick(args.nmax, 1000), _pick(m, 2))
+        n_max = _pick(args.nmax, 1000)
+        _check_limit(n_max, RANGE_LIMIT, what)
+        report = check_oddness(n_max, _pick(m, 2))
     elif family == "mod4":
-        report = check_mod4_base(_pick(args.nmax, 500))
+        n_max = _pick(args.nmax, 500)
+        _check_limit(2 * n_max + 1, RANGE_LIMIT, what)
+        report = check_mod4_base(n_max)
     elif family == "mod4-general":
-        report = check_mod4_general(_pick(m, 2), _pick(args.jmax, 200))
+        modulus, j_max = _pick(m, 2), _pick(args.jmax, 200)
+        _check_limit(2 * modulus * j_max + modulus + 1, RANGE_LIMIT, what)
+        report = check_mod4_general(modulus, j_max)
     elif family == "mod3":
-        report = check_mod3(_pick(m, 4), _pick(args.jmax, 100))
+        modulus, j_max = _pick(m, 4), _pick(args.jmax, 100)
+        _check_limit(modulus * modulus * j_max + 2 * modulus - 1, RANGE_LIMIT, what)
+        report = check_mod3(modulus, j_max)
     elif family == "partial-sum":
-        report = check_partial_sum_mod3(_pick(m, 4), _pick(args.jmax, 100))
+        modulus, j_max = _pick(m, 4), _pick(args.jmax, 100)
+        _check_limit(modulus * j_max + 1, RANGE_LIMIT, what)
+        report = check_partial_sum_mod3(modulus, j_max)
     elif family == "ob-parity":
-        report = check_ob_parity(_pick(args.nmax, 1000))
+        n_max = _pick(args.nmax, 1000)
+        _check_limit(n_max, OB_PARITY_LIMIT, "ob-parity n_max")
+        report = check_ob_parity(n_max)
     elif family == "plateau":
-        report = check_plateau_identity(_pick(args.vmax, 100), _pick(m, 2))
+        modulus, v_max = _pick(m, 2), _pick(args.vmax, 100)
+        _check_limit(v_max * modulus + modulus - 1, RANGE_LIMIT, what)
+        report = check_plateau_identity(v_max, modulus)
     elif family == "scaling":
         modulus = _pick(m, 2)
-        report = check_scaling_identity(modulus, _pick(args.jmax, 12), _pick(args.vmax, modulus))
+        j_max, v_max = _pick(args.jmax, 12), _pick(args.vmax, modulus)
+        top = modulus * v_max + modulus - 1
+        _check_limit(top, RANGE_LIMIT, what)
+        # the largest scaled weight is modulus^j_max * top
+        _check_limit(j_max, _scaling_power_limit(modulus, top), "scaling j_max")
+        report = check_scaling_identity(modulus, j_max, v_max)
     elif family == "special-cases":
-        report = check_special_cases(_pick(args.jmax, 200))
+        j_max = _pick(args.jmax, 200)
+        top = max(stride * j_max + offset for _, _, stride, offset, _, _ in SPECIAL_CASES)
+        _check_limit(top, RANGE_LIMIT, what)
+        report = check_special_cases(j_max)
     elif family == "roundtrip":
         modulus = _pick(m, 2)
         n_max = _pick(args.nmax, 20)

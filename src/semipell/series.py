@@ -13,6 +13,13 @@ contributes x^(m^t * u), and every smaller power m^t is either absent
 factor 2).  Summing over the peak base i makes the coefficient of x^n
 count the run forms of weight n, so it equals sp(n, m).
 
+The series is built from those factors without any dense product.  With
+b = m^t, P_t(x) = (x^b - x^(m b)) / ((1 - x^b)(1 - x^(m b))), so
+multiplying by P_t is a two-term shift followed by two running sums
+(strides b and m b), O(order) for each peak base and
+O(order * log_m(order)) for the whole series.  The dense product of two
+Series is the slow path the tests compare this construction against.
+
 Q_m also satisfies a functional equation under x -> x^m.  With
 s(x) = x + ... + x^(m-1),
 
@@ -24,7 +31,9 @@ the two sides, which must vanish identically.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from itertools import accumulate
+from operator import add, sub
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import check_modulus
 
@@ -145,14 +154,34 @@ def geometric_inverse(k: int, order: int) -> Series:
     return out
 
 
-def _residue_block(m: int, level: int, order: int) -> Series:
-    # x^(m^level * 1) + ... + x^(m^level * (m-1))
-    out = Series.zero(order)
-    base = m**level
-    for r in range(1, m):
-        if base * r > order:
-            break
-        out.coeffs[base * r] = 1
+def _times_sparse(coeffs: List[int], factor: Sequence[Tuple[int, int]]) -> List[int]:
+    """coeffs times sum(c * x^e for e, c in factor), truncated: one pass per term."""
+    n = len(coeffs)
+    out = [0] * n
+    for e, c in factor:
+        if e < n:
+            out[e:] = map(add, out[e:], [c * a for a in coeffs[: n - e]])
+    return out
+
+
+def _divide_geometric(coeffs: List[int], k: int) -> None:
+    """coeffs / (1 - x^k) in place: a running sum with stride k."""
+    # residue classes j >= len - k hold one coefficient and stay as they are
+    for j in range(min(k, len(coeffs) - k)):
+        coeffs[j::k] = accumulate(coeffs[j::k])
+
+
+def _times_peak(coeffs: List[int], m: int, base: int) -> List[int]:
+    """coeffs times P(x) = sum over m not dividing u of x^(base * u).
+
+    P is the residue block x^base + ... + x^((m-1) base) over the
+    geometric inverse 1 / (1 - x^(m base)), and the block telescopes to
+    (x^base - x^(m base)) / (1 - x^base); so the product is a two-term
+    shift and two running sums, O(order) whatever m is.
+    """
+    out = _times_sparse(coeffs, ((base, 1), (m * base, -1)))
+    _divide_geometric(out, base)
+    _divide_geometric(out, m * base)
     return out
 
 
@@ -161,13 +190,13 @@ def qm_peak_terms(m: int, order: int) -> List[Series]:
     check_modulus(m)
     _check_order(order)
     terms = []
-    prod = Series.one(order)
-    level = 0
-    while m**level <= order:
-        peak = _residue_block(m, level, order) * geometric_inverse(m ** (level + 1), order)
-        terms.append(peak * prod)
-        prod = prod * (Series.one(order) + 2 * peak)
-        level += 1
+    prod = [1] + [0] * order  # prod_{t<i} (1 + 2 P_t)
+    base = 1
+    while base <= order:
+        peak = _times_peak(prod, m, base)
+        terms.append(Series(peak))
+        prod = [p + 2 * q for p, q in zip(prod, peak)]
+        base *= m
     return terms
 
 
@@ -184,16 +213,15 @@ def functional_equation_residual(m: int, order: int) -> Series:
 
     Identically zero through the requested order when the counting
     series is correct; any nonzero coefficient is a defect witness.
+    Both sides multiply by sparse factors only, one pass per term.
     """
     check_modulus(m)
     _check_order(order)
     q = qm_series(m, order)
     q_sub = q.substitute_power(m)
-    one = Series.one(order)
-    xm = Series.monomial(m, order)
-    s = Series.zero(order)
-    for r in range(1, min(m, order + 1)):
-        s.coeffs[r] = 1
-    lhs = (one - xm) * q + s
-    rhs = (one + 2 * s - xm) * q_sub
-    return lhs - rhs
+    s = range(1, min(m, order + 1))
+    lhs = _times_sparse(q.coeffs, [(0, 1), (m, -1)])
+    for r in s:
+        lhs[r] += 1
+    rhs = _times_sparse(q_sub.coeffs, [(0, 1), *((r, 2) for r in s), (m, -1)])
+    return Series(list(map(sub, lhs, rhs)))

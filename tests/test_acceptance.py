@@ -129,12 +129,13 @@ def test_criterion_6_generating_function():
     start = time.perf_counter()
     mismatches = []
     residual_ok = True
+    # Order 4096 is the CLI's ORDER_LIMIT, the largest order a user can ask for.
     for m in range(2, 9):
-        q = qm_series(m, 512)
-        for n in range(513):
+        q = qm_series(m, 4096)
+        for n in range(4097):
             if q[n] != sp(n, m):
                 mismatches.append((n, m))
-        residual_ok = residual_ok and functional_equation_residual(m, 512).is_zero
+        residual_ok = residual_ok and functional_equation_residual(m, 4096).is_zero
     elapsed = time.perf_counter() - start
     report(
         6,

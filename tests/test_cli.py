@@ -7,7 +7,9 @@ import pytest
 from semipell import sp
 from semipell.cli import (
     COUNT_LIMIT,
+    OB_PARITY_LIMIT,
     ORDER_LIMIT,
+    RANGE_LIMIT,
     build_parser,
     format_composition,
     format_runform,
@@ -209,6 +211,55 @@ def test_funceq_order_limit(capsys):
     code, out, _ = run(capsys, "check", "funceq", "--m", "50", "--order", str(ORDER_LIMIT))
     assert code == 0
     assert out == f"PASS funceq checked={ORDER_LIMIT + 1}\n"
+
+
+def test_range_limit(capsys):
+    # Each argument list puts the top weight of the dense count range
+    # just past RANGE_LIMIT; table's bound is on its total count.
+    top = RANGE_LIMIT
+    refused = [
+        ("check", "oddness", "--nmax", str(top + 1)),
+        ("check", "mod4", "--nmax", str(top // 2)),
+        ("check", "mod4-general", "--m", str(top), "--jmax", "0"),
+        ("check", "mod3", "--m", "4", "--jmax", str(top // 16)),
+        ("check", "partial-sum", "--m", "4", "--jmax", str(top // 4)),
+        ("check", "plateau", "--m", "2", "--vmax", str(top // 2)),
+        ("check", "scaling", "--m", "2", "--vmax", str(top // 2), "--jmax", "0"),
+        ("check", "special-cases", "--jmax", str(top // 100)),
+        ("table", str(top), "2", "2"),
+        ("table", "0", "2", str(top + 2)),
+    ]
+    for argv in refused:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "bound" in err, argv
+    code, out, _ = run(capsys, "check", "oddness", "--nmax", str(top))
+    assert code == 0 and out == f"PASS oddness checked={top + 1}\n"
+    code, out, _ = run(capsys, "check", "mod4-general", "--m", str(top - 1), "--jmax", "0")
+    assert code == 0 and out == "PASS mod4-general checked=2\n"
+    # 1000 moduli of 1000 counts each: every weight is below its modulus
+    code, out, _ = run(capsys, "table", "999", "2", "1001")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 1001
+    assert lines[-1] == "\t".join(["m=1001"] + ["1"] * 999)
+
+
+def test_ob_parity_limit(capsys):
+    code, out, err = run(capsys, "check", "ob-parity", "--nmax", str(OB_PARITY_LIMIT + 1))
+    assert code == 3 and out == "" and "bound" in err
+    code, out, _ = run(capsys, "check", "ob-parity", "--nmax", str(OB_PARITY_LIMIT))
+    assert code == 0 and out == f"PASS ob-parity checked={OB_PARITY_LIMIT // 2}\n"
+
+
+def test_scaling_limit(capsys):
+    # m = 10, v_max = 0: the largest scaled weight is 10^j_max * 9
+    assert COUNT_LIMIT == 10**50
+    code, out, err = run(capsys, "check", "scaling", "--m", "10", "--vmax", "0", "--jmax", "50")
+    assert code == 3 and out == "" and "bound" in err
+    # refused without building the power
+    code, out, err = run(capsys, "check", "scaling", "--jmax", str(10**12))
+    assert code == 3 and out == "" and "bound" in err
+    code, out, _ = run(capsys, "check", "scaling", "--m", "10", "--vmax", "0", "--jmax", "49")
+    assert code == 0 and out == "PASS scaling checked=900\n"
 
 
 def test_check_failure_exits_1(capsys, monkeypatch):

@@ -90,6 +90,53 @@ def test_peak_terms_bucket_the_runforms():
                 assert term[n] == buckets.get(m**i, 0), (m, n, i)
 
 
+def _residue_block(m, level, order):
+    # x^(m^level * 1) + ... + x^(m^level * (m-1))
+    out = Series.zero(order)
+    base = m**level
+    for r in range(1, m):
+        if base * r > order:
+            break
+        out.coeffs[base * r] = 1
+    return out
+
+
+def _dense_peak_terms(m, order):
+    # The run-form product with dense Series products, the reference
+    # for the structured construction.
+    terms = []
+    prod = Series.one(order)
+    level = 0
+    while m**level <= order:
+        peak = _residue_block(m, level, order) * geometric_inverse(m ** (level + 1), order)
+        terms.append(peak * prod)
+        prod = prod * (Series.one(order) + 2 * peak)
+        level += 1
+    return terms
+
+
+def _dense_residual(q, m):
+    # functional_equation_residual's formula with dense products.
+    order = q.order
+    one = Series.one(order)
+    xm = Series.monomial(m, order)
+    s = Series.zero(order)
+    for r in range(1, min(m, order + 1)):
+        s.coeffs[r] = 1
+    return ((one - xm) * q + s) - (one + 2 * s - xm) * q.substitute_power(m)
+
+
+def test_structured_series_matches_dense_products():
+    for m in range(2, 11):
+        for order in sorted({0, 1, m - 1, m, m * m, 257, 600}):
+            dense = _dense_peak_terms(m, order)
+            assert qm_peak_terms(m, order) == dense, (m, order)
+            total = Series.one(order)
+            for term in dense:
+                total = total + term
+            assert qm_series(m, order) == total, (m, order)
+
+
 def test_peak_terms_sum_to_the_series():
     for m in (2, 5):
         total = Series.one(64)
@@ -118,7 +165,10 @@ def test_residual_catches_a_wrong_series(monkeypatch):
         return q
 
     monkeypatch.setattr(series_mod, "qm_series", broken)
-    assert not series_mod.functional_equation_residual(2, 32).is_zero
+    for m in (2, 3, 9):
+        residual = series_mod.functional_equation_residual(m, 32)
+        assert not residual.is_zero
+        assert residual == _dense_residual(broken(m, 32), m)
 
 
 small_series = st.lists(st.integers(-9, 9), min_size=1, max_size=12).map(
