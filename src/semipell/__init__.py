@@ -24,8 +24,6 @@ from .congruence import (
 from .core import (
     NOT_DISTINCT,
     NOT_UNIMODAL,
-    Composition,
-    RunForm,
     is_semi_m_pell,
     max_m_power,
     membership_failure,
@@ -40,8 +38,6 @@ from .core import (
 )
 from .enumeration import (
     ENUMERATION_LIMIT,
-    OC_ORACLE_LIMIT,
-    SP_ORACLE_LIMIT,
     SearchBoundExceeded,
     enumerate_oc,
     enumerate_sp,
@@ -51,27 +47,16 @@ from .enumeration import (
 )
 from .recurrence import check_plateau_identity, check_scaling_identity, sp, sp_table
 from .report import CongruenceReport
-from .series import (
-    Series,
-    functional_equation_residual,
-    geometric_inverse,
-    qm_peak_terms,
-    qm_series,
-)
+from .series import functional_equation_residual, qm_peak_terms, qm_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Composition",
     "CongruenceReport",
     "ENUMERATION_LIMIT",
     "NOT_DISTINCT",
     "NOT_UNIMODAL",
-    "OC_ORACLE_LIMIT",
-    "RunForm",
-    "SP_ORACLE_LIMIT",
     "SearchBoundExceeded",
-    "Series",
     "check_mod3",
     "check_mod4_base",
     "check_mod4_general",
@@ -86,7 +71,6 @@ __all__ = [
     "enumerate_sp",
     "from_oc",
     "functional_equation_residual",
-    "geometric_inverse",
     "is_semi_m_pell",
     "max_m_power",
     "membership_failure",

@@ -6,12 +6,12 @@ violation, 2 malformed usage or arguments, 3 an input bound was
 exceeded, 4 the input was rejected as not belonging to the domain
 (for example a composition that is not semi-m-Pell handed to map).
 
-The bounds are fixed: enum and the oracle sweep stop at the search
-bounds of the enumeration module, count refuses n above COUNT_LIMIT,
-series and check funceq refuse orders above ORDER_LIMIT, table and the
-check sweeps refuse dense count ranges past RANGE_LIMIT, ob-parity
-refuses n above OB_PARITY_LIMIT, and scaling refuses scaled weights
-above COUNT_LIMIT.
+The bounds are fixed: enum, roundtrip and the oracle sweep stop at the
+search bounds of the enumeration module, count refuses n above
+COUNT_LIMIT, series and check funceq refuse orders above ORDER_LIMIT,
+table and the check sweeps refuse dense count ranges past RANGE_LIMIT,
+ob-parity refuses n above OB_PARITY_LIMIT, and scaling refuses scaled
+weights above COUNT_LIMIT.
 
 Compositions print as (1,2) and run forms as (1^3,2), with the
 multiplicity omitted when it is 1; the same syntax, minus the
@@ -37,6 +37,7 @@ from .congruence import (
     check_special_cases,
 )
 from .enumeration import (
+    ENUMERATION_LIMIT,
     SearchBoundExceeded,
     enumerate_oc,
     enumerate_sp,
@@ -207,8 +208,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     _check_limit(args.order, ORDER_LIMIT, "series order")
-    q = qm_series(args.m, args.order)
-    for n, coefficient in enumerate(q.coeffs):
+    for n, coefficient in enumerate(qm_series(args.m, args.order)):
         print(f"{n} {coefficient}")
     return 0
 
@@ -220,8 +220,7 @@ def _pick(value: Optional[int], default: int) -> int:
 def _funceq_report(m: int, order: int) -> CongruenceReport:
     _check_limit(order, ORDER_LIMIT, "funceq order")
     report = CongruenceReport("funceq", {"m": m, "order": order})
-    residual = functional_equation_residual(m, order)
-    for n, coefficient in enumerate(residual.coeffs):
+    for n, coefficient in enumerate(functional_equation_residual(m, order)):
         report.record(f"n={n}", coefficient, 0)
     return report
 
@@ -278,6 +277,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     elif family == "roundtrip":
         modulus = _pick(m, 2)
         n_max = _pick(args.nmax, 20)
+        _check_limit(n_max, ENUMERATION_LIMIT, "roundtrip n_max")
         reports = [roundtrip_check(n, modulus) for n in range(n_max + 1)]
         report = merge_reports("roundtrip", {"m": modulus, "n_max": n_max}, reports)
     elif family == "oracle":

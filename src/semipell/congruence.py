@@ -24,19 +24,14 @@ proved, only verified instance by instance.
 
 from __future__ import annotations
 
-from .core import check_modulus
+from .core import check_modulus, check_nonneg
 from .recurrence import _sp_range
 from .report import CongruenceReport
 
 
-def _check_bound(value: int, name: str) -> None:
-    if not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-
-
 def check_oddness(n_max: int, m: int) -> CongruenceReport:
     """sp(n, m) mod 2 == 1 for 0 <= n <= n_max."""
-    _check_bound(n_max, "n_max")
+    check_nonneg(n_max, "n_max")
     check_modulus(m)
     report = CongruenceReport("oddness", {"m": m, "n_max": n_max})
     counts = _sp_range(n_max, m)
@@ -47,7 +42,7 @@ def check_oddness(n_max: int, m: int) -> CongruenceReport:
 
 def check_mod4_base(n_max: int) -> CongruenceReport:
     """sp(2n + 1, 2) mod 4 == (2n + 1) mod 4 for 0 <= n <= n_max."""
-    _check_bound(n_max, "n_max")
+    check_nonneg(n_max, "n_max")
     report = CongruenceReport("mod4", {"m": 2, "n_max": n_max})
     counts = _sp_range(2 * n_max + 1, 2)
     for n in range(n_max + 1):
@@ -59,7 +54,7 @@ def check_mod4_base(n_max: int) -> CongruenceReport:
 def check_mod4_general(m: int, j_max: int) -> CongruenceReport:
     """sp(2mj + 1, m) == 1 and sp(2mj + m + 1, m) == 3 mod 4, j <= j_max."""
     check_modulus(m)
-    _check_bound(j_max, "j_max")
+    check_nonneg(j_max, "j_max")
     report = CongruenceReport("mod4-general", {"m": m, "j_max": j_max})
     counts = _sp_range(2 * m * j_max + m + 1, m)
     for j in range(j_max + 1):
@@ -77,7 +72,7 @@ def _check_mod3_modulus(m: int) -> None:
 def check_mod3(m: int, j_max: int) -> CongruenceReport:
     """sp(m^2 j + m + r, m) divisible by 3 for j <= j_max, 1 <= r < m."""
     _check_mod3_modulus(m)
-    _check_bound(j_max, "j_max")
+    check_nonneg(j_max, "j_max")
     report = CongruenceReport("mod3", {"m": m, "j_max": j_max})
     counts = _sp_range(m * m * j_max + 2 * m - 1, m)
     for j in range(j_max + 1):
@@ -90,7 +85,7 @@ def check_mod3(m: int, j_max: int) -> CongruenceReport:
 def check_partial_sum_mod3(m: int, j_max: int) -> CongruenceReport:
     """Partial sums sp(1) + ... + sp(mj + 1) == 1 mod 3, j <= j_max."""
     _check_mod3_modulus(m)
-    _check_bound(j_max, "j_max")
+    check_nonneg(j_max, "j_max")
     report = CongruenceReport("partial-sum", {"m": m, "j_max": j_max})
     counts = _sp_range(m * j_max + 1, m)
     total = 0
@@ -133,7 +128,7 @@ def count_two_size_odd_partitions(n: int) -> int:
 
 def check_ob_parity(n_max: int) -> CongruenceReport:
     """Two-size partition counts have parity (n mod 4 - 1) / 2, odd n <= n_max."""
-    _check_bound(n_max, "n_max")
+    check_nonneg(n_max, "n_max")
     report = CongruenceReport("ob-parity", {"n_max": n_max})
     for n in range(1, n_max + 1, 2):
         expected = (n % 4 - 1) // 2
@@ -160,7 +155,7 @@ def check_special_cases(j_max: int = 200) -> CongruenceReport:
     statements (moduli 4, 7 and 10); each is the specialisation of a
     general family to one stride and offset.
     """
-    _check_bound(j_max, "j_max")
+    check_nonneg(j_max, "j_max")
     report = CongruenceReport("special-cases", {"j_max": j_max})
     for label, m, stride, offset, modulus, expected in SPECIAL_CASES:
         counts = _sp_range(stride * j_max + offset, m)

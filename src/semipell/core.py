@@ -42,6 +42,12 @@ def check_modulus(m: int) -> None:
         raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
 
 
+def check_nonneg(value: int, name: str) -> None:
+    """Reject anything that is not a nonnegative integer; name goes in the message."""
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def max_m_power(n: int, m: int) -> int:
     """Largest power of m dividing n.
 

@@ -29,7 +29,14 @@ import itertools
 from functools import lru_cache
 from typing import List
 
-from .core import Composition, RunForm, check_modulus, is_semi_m_pell, runform_parts
+from .core import (
+    Composition,
+    RunForm,
+    check_modulus,
+    check_nonneg,
+    is_semi_m_pell,
+    runform_parts,
+)
 from .report import CongruenceReport
 
 # Hard input bounds.  The composition filter walks 2^(n-1) candidates,
@@ -45,8 +52,7 @@ class SearchBoundExceeded(ValueError):
 
 
 def _check_weight(n: int, limit: int, what: str) -> None:
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"weight must be a nonnegative integer, got {n!r}")
+    check_nonneg(n, "weight")
     if n > limit:
         raise SearchBoundExceeded(f"{what} refuses n={n}, bound is {limit}")
 

@@ -33,13 +33,8 @@ from math import comb
 from operator import mul
 from typing import Iterable, List
 
-from .core import check_modulus
+from .core import check_modulus, check_nonneg
 from .report import CongruenceReport
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"weight must be a nonnegative integer, got {n!r}")
 
 
 def _sp_range(n_max: int, m: int) -> List[int]:
@@ -123,7 +118,7 @@ def sp(n: int, m: int) -> int:
     identity; the cost grows with the number of base-m digits of n, not
     with n.
     """
-    _check_n(n)
+    check_nonneg(n, "weight")
     check_modulus(m)
     while n and n % m == 0:
         n //= m
@@ -134,7 +129,7 @@ def sp(n: int, m: int) -> int:
 
 def sp_table(n_max: int, moduli: Iterable[int]) -> List[List[int]]:
     """Rows of counts, one per modulus, columns n = 1 .. n_max."""
-    _check_n(n_max)
+    check_nonneg(n_max, "weight")
     rows = []
     for m in moduli:
         check_modulus(m)
@@ -150,7 +145,7 @@ def check_plateau_identity(v_max: int, m: int) -> CongruenceReport:
     all n <= v_max against the dense recurrence, never against sp, which
     is built on this identity.
     """
-    _check_n(v_max)
+    check_nonneg(v_max, "weight")
     check_modulus(m)
     report = CongruenceReport("plateau", {"m": m, "v_max": v_max})
     counts = _sp_range(v_max * m + m - 1, m)
@@ -176,8 +171,8 @@ def check_scaling_identity(m: int, j_max: int, v_max: int) -> CongruenceReport:
     weights go through sp; the unscaled counts come from the dense
     recurrence.
     """
-    _check_n(j_max)
-    _check_n(v_max)
+    check_nonneg(j_max, "weight")
+    check_nonneg(v_max, "weight")
     check_modulus(m)
     report = CongruenceReport("scaling", {"m": m, "j_max": j_max, "v_max": v_max})
     counts = _sp_range(m * v_max + m - 1, m)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from semipell import sp
+from semipell import ENUMERATION_LIMIT, sp
 from semipell.cli import (
     COUNT_LIMIT,
     OB_PARITY_LIMIT,
@@ -181,6 +181,21 @@ def test_bound_errors_exit_3(capsys):
     # the oc-only side is allowed further out
     code, _, _ = run(capsys, "check", "oracle", "--m", "2", "--nmax", "30", "--side", "oc")
     assert code == 0
+
+
+def test_roundtrip_limit(capsys, monkeypatch):
+    import semipell.cli as cli_mod
+
+    def refuse(n, m):
+        raise AssertionError(f"roundtrip_check({n}, {m}) ran before the bound check")
+
+    # refused before any weight is generated
+    monkeypatch.setattr(cli_mod, "roundtrip_check", refuse)
+    code, out, err = run(capsys, "check", "roundtrip", "--nmax", str(ENUMERATION_LIMIT + 1))
+    assert code == 3 and out == "" and "bound" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "check", "roundtrip", "--m", "10", "--nmax", str(ENUMERATION_LIMIT))
+    assert code == 0 and out.startswith("PASS roundtrip")
 
 
 def test_count_limit(capsys):

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -186,3 +187,16 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_public_names_are_used():
+    # every exported name is used by the CLI, the README or another test file
+    this = Path(__file__).resolve()
+    root = this.parents[1]
+    sources = [Path(semipell.__file__).parent / "cli.py", root / "README.md"]
+    sources += [p for p in sorted(this.parent.rglob("*.py")) if p.resolve() != this]
+    words = set()
+    for path in sources:
+        words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unused = sorted(set(semipell.__all__) - words)
+    assert not unused, unused
