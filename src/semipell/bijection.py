@@ -17,14 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .core import (
-    Composition,
-    RunForm,
-    check_modulus,
-    max_m_power,
-    membership_failure,
-    runform_failure,
-)
+from .core import Composition, RunForm, _membership_scan, check_modulus, runform_failure
 from .enumeration import enumerate_oc, enumerate_sp
 from .report import CongruenceReport
 
@@ -35,15 +28,10 @@ def to_oc(composition: Sequence[int], m: int) -> RunForm:
     Rejects input that is not semi-m-Pell; the ValueError names the
     violated condition.
     """
-    check_modulus(m)
-    reason = membership_failure(composition, m)
+    reason, splits = _membership_scan(composition, m)
     if reason is not None:
         raise ValueError(f"not a semi-m-Pell composition: {reason}")
-    runs = []
-    for part in composition:
-        x = max_m_power(part, m)
-        runs.append((x, part // x))
-    return tuple(runs)
+    return tuple(splits)
 
 
 def from_oc(runs: Sequence[Tuple[int, int]], m: int) -> Composition:
@@ -67,10 +55,10 @@ def roundtrip_check(n: int, m: int) -> CongruenceReport:
     report = CongruenceReport("roundtrip", {"n": n, "m": m})
     compositions = enumerate_sp(n, m)
     runforms = enumerate_oc(n, m)
-    bad = sum(1 for c in compositions if from_oc(to_oc(c, m), m) != c)
+    images = [to_oc(c, m) for c in compositions]
+    bad = sum(1 for c, rf in zip(compositions, images) if from_oc(rf, m) != c)
     report.record(f"n={n}:from_oc(to_oc)", bad, 0)
     bad = sum(1 for rf in runforms if to_oc(from_oc(rf, m), m) != rf)
     report.record(f"n={n}:to_oc(from_oc)", bad, 0)
-    image = {to_oc(c, m) for c in compositions}
-    report.record(f"n={n}:image", len(image ^ set(runforms)), 0)
+    report.record(f"n={n}:image", len(set(images) ^ set(runforms)), 0)
     return report

@@ -24,7 +24,7 @@ Everything here is exact integer arithmetic, no floats anywhere.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 # A composition is a tuple of positive parts; a run form is a tuple of
 # (base, multiplicity) pairs.  Plain tuples keep the combinatorics cheap
@@ -64,15 +64,22 @@ def max_m_power(n: int, m: int) -> int:
     return x
 
 
-def is_semi_m_pell(composition: Sequence[int], m: int) -> bool:
-    """True iff the max m-powers of the parts are distinct and unimodal.
+def _membership_scan(
+    composition: Sequence[int], m: int
+) -> Tuple[Optional[str], List[Tuple[int, int]]]:
+    """One left-to-right pass: split each part, stop at the first failure.
 
-    Runs in one left-to-right pass.  A repeated power fails the
-    distinctness condition; a rise after any fall fails unimodality
-    (equal neighbours are already repeats, so all comparisons are
-    strict).
+    Each part t is split once as t = x * h with x its max m-power and m
+    not dividing h.  Returns (reason, splits): reason is None for a
+    member, otherwise NOT_DISTINCT or NOT_UNIMODAL for the first
+    violation met, and splits holds the (x, h) pairs of the parts read
+    before it.  A repeated power fails distinctness; a rise after any
+    fall fails unimodality (equal neighbours are already repeats, so all
+    comparisons are strict).  Both failures are closed under extension,
+    so stopping early never changes the verdict.
     """
     check_modulus(m)
+    splits: List[Tuple[int, int]] = []
     seen = set()
     prev = 0
     falling = False
@@ -80,43 +87,34 @@ def is_semi_m_pell(composition: Sequence[int], m: int) -> bool:
         if not isinstance(part, int) or part < 1:
             raise ValueError(f"parts must be positive integers, got {part!r}")
         x = 1
-        while part % m == 0:
-            part //= m
+        h = part
+        while h % m == 0:
+            h //= m
             x *= m
         if x in seen:
-            return False
+            return NOT_DISTINCT, splits
         seen.add(x)
         if x < prev:
             falling = True
         elif falling:
-            return False
+            return NOT_UNIMODAL, splits
         prev = x
-    return True
+        splits.append((x, h))
+    return None, splits
+
+
+def is_semi_m_pell(composition: Sequence[int], m: int) -> bool:
+    """True iff the max m-powers of the parts are distinct and unimodal."""
+    return _membership_scan(composition, m)[0] is None
 
 
 def membership_failure(composition: Sequence[int], m: int) -> Optional[str]:
     """Why a composition is not semi-m-Pell, or None if it is.
 
-    Scans left to right and reports the first violated condition, either
-    NOT_DISTINCT or NOT_UNIMODAL.  Kept separate from is_semi_m_pell so
-    the hot path stays allocation-light; the two must always agree and
-    the tests enforce that.
+    Reports the first violated condition read left to right, either
+    NOT_DISTINCT or NOT_UNIMODAL.
     """
-    check_modulus(m)
-    powers = [max_m_power(part, m) for part in composition]
-    seen = set()
-    prev = 0
-    falling = False
-    for x in powers:
-        if x in seen:
-            return NOT_DISTINCT
-        seen.add(x)
-        if x < prev:
-            falling = True
-        elif falling:
-            return NOT_UNIMODAL
-        prev = x
-    return None
+    return _membership_scan(composition, m)[0]
 
 
 def weight(composition: Sequence[int]) -> int:

@@ -13,14 +13,18 @@ weight n with residue r = n mod m:
 The three sources in the second branch are pairwise disjoint; that is
 checked during generation and a duplicate is a hard failure (a
 RuntimeError, also under python -O), as is an object of weight n - m
-without exactly one residue piece.
+without exactly one residue piece.  Each weight's members are sorted
+once, when they are built, and the memo keeps them in that order.
 
 Two oracles cross-check the generators by raw search that shares none
-of the construction logic.  oracle_sp filters every composition of n
-(2^(n-1) of them) through the membership test.  oracle_oc searches all
-ways to pick distinct powers of m with multiplicities not divisible by
-m summing to n, then arranges each non-peak power on the left or right
-of the peak.  Both refuse weights above a hard bound rather than grind.
+of the construction logic.  oracle_sp grows compositions of n part by
+part and drops a prefix as soon as its max m-powers repeat or rise
+after a fall; both failures survive any extension, so only prefixes of
+members are visited, and every complete composition still goes through
+the membership test.  oracle_oc searches all ways to pick distinct
+powers of m with multiplicities not divisible by m summing to n, then
+arranges each non-peak power on the left or right of the peak.  Both
+refuse weights above a hard bound rather than grind.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from .core import (
 )
 from .report import CongruenceReport
 
-# Hard input bounds.  The composition filter walks 2^(n-1) candidates,
-# so 24 keeps a single call near ten million nodes.  The run-form search
-# and the generators stay small far longer.
-SP_ORACLE_LIMIT = 24
+# Hard input bounds.  The pruned composition search visits only member
+# prefixes, a few milliseconds at 40; the run-form search and the
+# generators stay small further out.
+SP_ORACLE_LIMIT = 40
 OC_ORACLE_LIMIT = 60
 ENUMERATION_LIMIT = 100
 
@@ -66,10 +70,8 @@ def _sp_members(n: int, m: int) -> tuple:
     if n % m == 0:
         return tuple(tuple(p * m for p in c) for c in _sp_members(n // m, m))
     r = n % m
-    out = []
-    for c in _sp_members(n - r, m):
-        out.append((r,) + c)
-        out.append(c + (r,))
+    shorter = _sp_members(n - r, m)
+    out = [(r,) + c for c in shorter] + [c + (r,) for c in shorter]
     for c in _sp_members(n - m, m):
         residue_at = [i for i, p in enumerate(c) if p % m == r]
         if len(residue_at) != 1:
@@ -78,7 +80,27 @@ def _sp_members(n: int, m: int) -> tuple:
         out.append(c[:i] + (c[i] + m,) + c[i + 1 :])
     if len(set(out)) != len(out):
         raise RuntimeError(f"construction sources overlap at n={n}, m={m}")
+    out.sort()
     return tuple(out)
+
+
+def _runform_order(runs: RunForm) -> List[int]:
+    """Sort key of a run form: the order of its flattened parts in O(runs).
+
+    Adjacent runs never share a base, so two flattened sequences first
+    differ inside the first run where the forms differ.  With equal base
+    b a longer run compares larger when the next base is smaller or
+    absent, and smaller when it is larger.  So run (b, u) contributes
+    (b, 0, u) or (b, 1, -u); the key is built back to front, where the
+    next base is at hand, and then reversed.
+    """
+    key: List[int] = []
+    after = 0  # base of the next run, 0 past the end
+    for b, u in reversed(runs):
+        key += (-u, 1, b) if after > b else (u, 0, b)
+        after = b
+    key.reverse()
+    return key
 
 
 @lru_cache(maxsize=None)
@@ -90,10 +112,8 @@ def _oc_members(n: int, m: int) -> tuple:
     if n % m == 0:
         return tuple(tuple((b * m, u) for b, u in rf) for rf in _oc_members(n // m, m))
     r = n % m
-    out = []
-    for rf in _oc_members(n - r, m):
-        out.append(((1, r),) + rf)
-        out.append(rf + ((1, r),))
+    shorter = _oc_members(n - r, m)
+    out = [((1, r),) + rf for rf in shorter] + [rf + ((1, r),) for rf in shorter]
     for rf in _oc_members(n - m, m):
         ones_at = [i for i, (b, _) in enumerate(rf) if b == 1]
         if len(ones_at) != 1:
@@ -102,6 +122,7 @@ def _oc_members(n: int, m: int) -> tuple:
         out.append(rf[:i] + ((1, rf[i][1] + m),) + rf[i + 1 :])
     if len(set(out)) != len(out):
         raise RuntimeError(f"construction sources overlap at n={n}, m={m}")
+    out.sort(key=_runform_order)
     return tuple(out)
 
 
@@ -109,41 +130,52 @@ def enumerate_sp(n: int, m: int) -> List[Composition]:
     """All semi-m-Pell compositions of n in lexicographic part order."""
     check_modulus(m)
     _check_weight(n, ENUMERATION_LIMIT, "enumerate_sp")
-    return sorted(_sp_members(n, m))
+    return list(_sp_members(n, m))
 
 
 def enumerate_oc(n: int, m: int) -> List[RunForm]:
     """All run forms of weight n, ordered by their flattened parts."""
     check_modulus(m)
     _check_weight(n, ENUMERATION_LIMIT, "enumerate_oc")
-    return sorted(_oc_members(n, m), key=runform_parts)
+    return list(_oc_members(n, m))
 
 
 def oracle_sp(n: int, m: int) -> List[Composition]:
-    """Brute-force reference: filter all 2^(n-1) compositions of n.
+    """Brute-force reference: a pruned search over the compositions of n.
 
-    Generation is a depth-first walk that mutates one part list in
-    place; each complete composition goes through is_semi_m_pell.
-    Shares nothing with the recursive construction.
+    A depth-first walk appends parts 1, 2, ... to one part list in
+    place and abandons a prefix whose max m-powers repeat or rise after
+    a fall, since no extension can repair either.  Each complete
+    composition then goes through is_semi_m_pell.  Shares nothing with
+    the recursive construction.
     """
     check_modulus(m)
     _check_weight(n, SP_ORACLE_LIMIT, "oracle_sp")
     if n == 0:
         return [()]
+    power = [0] * (n + 1)  # power[p] is the max m-power of p
+    for p in range(1, n + 1):
+        power[p] = m * power[p // m] if p % m == 0 else 1
     members: List[Composition] = []
     parts: List[int] = []
+    seen = set()
 
-    def rec(remaining: int) -> None:
-        for p in range(1, remaining):
+    def rec(remaining: int, prev: int, falling: bool) -> None:
+        for p in range(1, remaining + 1):
+            x = power[p]
+            if x in seen or (falling and x > prev):
+                continue
             parts.append(p)
-            rec(remaining - p)
+            if p == remaining:
+                if is_semi_m_pell(parts, m):
+                    members.append(tuple(parts))
+            else:
+                seen.add(x)
+                rec(remaining - p, x, falling or x < prev)
+                seen.discard(x)
             parts.pop()
-        parts.append(remaining)
-        if is_semi_m_pell(parts, m):
-            members.append(tuple(parts))
-        parts.pop()
 
-    rec(n)
+    rec(n, 0, False)
     return sorted(members)
 
 

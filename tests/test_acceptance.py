@@ -83,9 +83,8 @@ def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
     ok = True
     for m in (2, 3, 4, 5):
-        for n in range(25):
-            ok = ok and enumerate_sp(n, m) == oracle_sp(n, m)
         for n in range(41):
+            ok = ok and enumerate_sp(n, m) == oracle_sp(n, m)
             ok = ok and enumerate_oc(n, m) == oracle_oc(n, m)
     elapsed = time.perf_counter() - start
     report(

@@ -1,8 +1,17 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semipell.bijection import from_oc, roundtrip_check, to_oc
-from semipell.core import NOT_DISTINCT, NOT_UNIMODAL, runform_weight, weight
+from semipell.core import (
+    NOT_DISTINCT,
+    NOT_UNIMODAL,
+    is_semi_m_pell,
+    membership_failure,
+    runform_weight,
+    weight,
+)
 from semipell.enumeration import enumerate_oc, enumerate_sp
 
 # the two published weight classes are listed in matching order, so the
@@ -75,6 +84,50 @@ def test_rejects_non_members():
     assert "divisible" in str(err.value)
     with pytest.raises(ValueError):
         from_oc(((6, 1),), 2)
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        parts.append(run)
+        yield tuple(parts)
+
+
+def test_to_oc_rejects_exactly_the_non_members():
+    for m in (2, 3):
+        for n in range(15):
+            for comp in _compositions(n):
+                reason = membership_failure(comp, m)
+                try:
+                    rf = to_oc(comp, m)
+                except ValueError as err:
+                    assert reason is not None, comp
+                    assert str(err) == f"not a semi-m-Pell composition: {reason}"
+                else:
+                    assert reason is None, comp
+                    assert from_oc(rf, m) == comp
+
+
+def test_bad_parts_raise():
+    for bad in (0, -3, 1.5, 2.0, "2", None):
+        for comp in ((bad,), (1, bad), (4, 2, bad), (bad, 2, 4)):
+            for check in (to_oc, membership_failure, is_semi_m_pell):
+                with pytest.raises(ValueError, match="positive integers"):
+                    check(comp, 2)
+    # the scan stops at the first failure, so a later part is never read
+    assert membership_failure((2, 2, 0), 2) == NOT_DISTINCT
+    assert not is_semi_m_pell((2, 2, 0), 2)
+    with pytest.raises(ValueError, match=NOT_DISTINCT):
+        to_oc((2, 2, 0), 2)
 
 
 def test_image_is_exactly_the_runform_family():

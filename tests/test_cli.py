@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -106,6 +107,26 @@ def test_enum(capsys):
     assert out == "(1^5)\n(1^3,2)\n(1,4)\n(2,1^3)\n(4,1)\n"
 
 
+# SHA-256 of the full stdout and its line count: any change to the
+# members or to their order changes the digest
+ENUM_DIGESTS = {
+    ("63", "2", "sp"): ("316a47f8f293898f870a764df8194bd0d2dfa87bc3fbd60a136ef5b3e6b120c5", 3075),
+    ("95", "2", "oc"): ("fcd6efc8787f9c836f110f0068b363f1caced8dd333ac4e50f0501714f657c06", 14319),
+    ("44", "3", "sp"): ("ee2bfcfa806d6b927f880ba20234e91b5aea42f0933c6bf74224524ae753ae57", 129),
+    ("58", "3", "oc"): ("b0a1f8bd3098061018d46ec39d2bbf226f3b3d3e9a90c098b65e1ee60dde2b4a", 255),
+    ("59", "5", "sp"): ("35d12e0f3c27ea82c4b9f4d71988b5aae821a13cf54303468bb2cd7476f80228", 47),
+    ("59", "5", "oc"): ("e72b0634aa5f01413ce6cf095992a7046f9b3ca6269346e78f8e2ded3dc4db68", 47),
+}
+
+
+def test_enum_output_is_frozen(capsys):
+    for (n, m, side), (digest, lines) in ENUM_DIGESTS.items():
+        code, out, _ = run(capsys, "enum", n, m, "--side", side)
+        assert code == 0
+        assert out.count("\n") == lines == sp(int(n), int(m))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, m, side)
+
+
 def test_map(capsys):
     code, out, _ = run(capsys, "map", "14,3,18,27", "3", "--direction", "to-oc")
     assert code == 0 and out == "(1^14,3,9^2,27)\n"
@@ -176,10 +197,10 @@ def test_usage_errors_exit_2(capsys):
 def test_bound_errors_exit_3(capsys):
     code, _, err = run(capsys, "enum", "101", "2")
     assert code == 3 and "bound" in err
-    code, _, err = run(capsys, "check", "oracle", "--m", "2", "--nmax", "30")
+    code, _, err = run(capsys, "check", "oracle", "--m", "2", "--nmax", "41")
     assert code == 3
     # the oc-only side is allowed further out
-    code, _, _ = run(capsys, "check", "oracle", "--m", "2", "--nmax", "30", "--side", "oc")
+    code, _, _ = run(capsys, "check", "oracle", "--m", "2", "--nmax", "41", "--side", "oc")
     assert code == 0
 
 

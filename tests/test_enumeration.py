@@ -108,6 +108,49 @@ def test_exactly_one_residue_part_for_nonmultiples():
                     assert residue_at[0] in (0, len(c) - 1)
 
 
+def _unpruned_oracle_sp(n, m):
+    # the reference walk: every one of the 2^(n-1) compositions of n
+    # goes through the membership test, no prefix is ever dropped
+    if n == 0:
+        return [()]
+    members = []
+    parts = []
+
+    def rec(remaining):
+        for p in range(1, remaining):
+            parts.append(p)
+            rec(remaining - p)
+            parts.pop()
+        parts.append(remaining)
+        if is_semi_m_pell(parts, m):
+            members.append(tuple(parts))
+        parts.pop()
+
+    rec(n)
+    return sorted(members)
+
+
+def test_pruned_oracle_matches_unpruned_walk():
+    for m in (2, 3, 4, 5):
+        for n in range(0, 17):
+            assert oracle_sp(n, m) == _unpruned_oracle_sp(n, m), (n, m)
+
+
+def test_oracle_leaves_go_through_membership(monkeypatch):
+    import semipell.enumeration as enumeration
+
+    checked = []
+
+    def membership(parts, m):
+        checked.append(tuple(parts))
+        return is_semi_m_pell(parts, m) and parts[0] != 1
+
+    monkeypatch.setattr(enumeration, "is_semi_m_pell", membership)
+    got = oracle_sp(12, 2)
+    assert got == [c for c in enumerate_sp(12, 2) if c[0] != 1]
+    assert set(got) <= set(checked)
+
+
 def test_oracle_sp_agrees_with_generator():
     for m in (2, 3, 4, 5):
         for n in range(0, 15):
@@ -139,13 +182,13 @@ def test_oracle_spot_values():
 
 
 def test_oracle_counts_match_recurrence_beyond_sp_bound():
-    for n in range(25, 46):
+    for n in range(25, 61):
         assert len(oracle_oc(n, 3)) == sp(n, 3)
 
 
 def test_search_bounds_are_enforced():
     with pytest.raises(SearchBoundExceeded):
-        oracle_sp(25, 2)
+        oracle_sp(41, 2)
     with pytest.raises(SearchBoundExceeded):
         oracle_oc(61, 2)
     with pytest.raises(SearchBoundExceeded):
@@ -156,6 +199,26 @@ def test_search_bounds_are_enforced():
         enumerate_sp(-1, 2)
     with pytest.raises(ValueError):
         oracle_sp(5, 1)
+
+
+def test_members_come_in_flattened_order():
+    for m, n_max in ((2, 100), (3, 60), (4, 60), (5, 60)):
+        for n in range(n_max + 1):
+            comps = enumerate_sp(n, m)
+            assert comps == sorted(comps)
+            forms = enumerate_oc(n, m)
+            assert forms == sorted(forms, key=runform_parts), (n, m)
+
+
+def test_returned_lists_are_fresh():
+    for enumerate_family in (enumerate_sp, enumerate_oc):
+        first = enumerate_family(23, 2)
+        want = list(first)
+        first.reverse()
+        first.append(None)
+        first[0] = ()
+        assert enumerate_family(23, 2) == want
+        assert enumerate_family(23, 2) is not enumerate_family(23, 2)
 
 
 def test_oracle_agreement_reports():
