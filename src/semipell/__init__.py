@@ -29,12 +29,10 @@ from .core import (
     membership_failure,
     runform_failure,
     runform_parts,
-    runform_weight,
     tau1,
     tau2,
     tau3,
     validate_runform,
-    weight,
 )
 from .enumeration import (
     ENUMERATION_LIMIT,
@@ -82,7 +80,6 @@ __all__ = [
     "roundtrip_check",
     "runform_failure",
     "runform_parts",
-    "runform_weight",
     "sp",
     "sp_table",
     "tau1",
@@ -90,5 +87,4 @@ __all__ = [
     "tau3",
     "to_oc",
     "validate_runform",
-    "weight",
 ]

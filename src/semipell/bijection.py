@@ -51,14 +51,29 @@ def roundtrip_check(n: int, m: int) -> CongruenceReport:
     and the image of the composition family is exactly the run-form
     family.  Violations record symmetric-difference or mismatch counts,
     all expected zero.
+
+    Each map runs once per object: to_oc on every composition, from_oc
+    on every image.  The second fact reads both maps back for a run form
+    that is an image, and calls them afresh only for one that is not.
     """
     report = CongruenceReport("roundtrip", {"n": n, "m": m})
     compositions = enumerate_sp(n, m)
     runforms = enumerate_oc(n, m)
     images = [to_oc(c, m) for c in compositions]
-    bad = sum(1 for c, rf in zip(compositions, images) if from_oc(rf, m) != c)
+    preimages = [from_oc(rf, m) for rf in images]
+    bad = sum(1 for c, back in zip(compositions, preimages) if back != c)
     report.record(f"n={n}:from_oc(to_oc)", bad, 0)
-    bad = sum(1 for rf in runforms if to_oc(from_oc(rf, m), m) != rf)
+    to_map = dict(zip(compositions, images))
+    from_map = dict(zip(images, preimages))
+    bad = 0
+    for rf in runforms:
+        c = from_map.get(rf)
+        if c is None:
+            c = from_oc(rf, m)
+        image = to_map.get(c)
+        if image is None:
+            image = to_oc(c, m)
+        bad += image != rf
     report.record(f"n={n}:to_oc(from_oc)", bad, 0)
     report.record(f"n={n}:image", len(set(images) ^ set(runforms)), 0)
     return report

@@ -117,10 +117,6 @@ def membership_failure(composition: Sequence[int], m: int) -> Optional[str]:
     return _membership_scan(composition, m)[0]
 
 
-def weight(composition: Sequence[int]) -> int:
-    return sum(composition)
-
-
 def tau1(composition: Sequence[int], m: int) -> Composition:
     """Delete a boundary part smaller than m (first one wins a tie).
 
@@ -160,10 +156,6 @@ def tau3(composition: Sequence[int], m: int) -> Composition:
         if c % m != 0:
             raise ValueError(f"part {c} is not divisible by {m}")
     return tuple(c // m for c in parts)
-
-
-def runform_weight(runs: RunForm) -> int:
-    return sum(base * mult for base, mult in runs)
 
 
 def runform_parts(runs: RunForm) -> Composition:

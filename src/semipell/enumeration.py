@@ -13,8 +13,22 @@ weight n with residue r = n mod m:
 The three sources in the second branch are pairwise disjoint; that is
 checked during generation and a duplicate is a hard failure (a
 RuntimeError, also under python -O), as is an object of weight n - m
-without exactly one residue piece.  Each weight's members are sorted
-once, when they are built, and the memo keeps them in that order.
+without exactly one residue piece.  The memo keeps each weight's
+members in order: compositions lexicographically, sorted once when
+built; run forms by their flattened parts, with no sort at all.
+
+Run forms come out in order because every source keeps the order of
+the list it is built from.  Scaling multiplies every part by m.
+Gluing adds the same run to the front or the back of forms of one
+weight, none of which is a prefix of another.  Growing lengthens by m
+the run of ones, which sits at one end of every form; two forms that
+first differ before their runs of ones, or in the lengths of those
+runs, still do afterwards.  So the grown forms are already in order,
+those that start with their run of ones first, and the three sorted
+lists need only a merge.  Runs are shared, not copied: a scaled run is
+built once per distinct run of the lighter weight, a grown run of ones
+once per multiplicity and the glued run once per weight, so generating
+the forms allocates little beyond the form tuples themselves.
 
 Two oracles cross-check the generators by raw search that shares none
 of the construction logic.  oracle_sp grows compositions of n part by
@@ -30,7 +44,9 @@ refuse weights above a hard bound rather than grind.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache
+from operator import itemgetter
 from typing import List
 
 from .core import (
@@ -103,6 +119,9 @@ def _runform_order(runs: RunForm) -> List[int]:
     return key
 
 
+_run_base = itemgetter(0)
+
+
 @lru_cache(maxsize=None)
 def _oc_members(n: int, m: int) -> tuple:
     if n == 0:
@@ -110,19 +129,49 @@ def _oc_members(n: int, m: int) -> tuple:
     if n < m:
         return (((1, n),),)
     if n % m == 0:
-        return tuple(tuple((b * m, u) for b, u in rf) for rf in _oc_members(n // m, m))
+        lighter = _oc_members(n // m, m)
+        scaled = {run: (run[0] * m, run[1]) for run in set(itertools.chain.from_iterable(lighter))}
+        scale = scaled.__getitem__
+        return tuple([tuple(map(scale, rf)) for rf in lighter])
     r = n % m
+    glue = ((1, r),)
     shorter = _oc_members(n - r, m)
-    out = [((1, r),) + rf for rf in shorter] + [rf + ((1, r),) for rf in shorter]
+    leading: List[RunForm] = []  # grown forms that start with their run of ones
+    trailing: List[RunForm] = []  # grown forms that do not
+    grown_runs = {}
     for rf in _oc_members(n - m, m):
-        ones_at = [i for i, (b, _) in enumerate(rf) if b == 1]
-        if len(ones_at) != 1:
+        bases = [*map(_run_base, rf)]
+        if bases.count(1) != 1:
             raise RuntimeError(f"weight {n - m} run form {rf} lacks a unique run of ones")
-        i = ones_at[0]
-        out.append(rf[:i] + ((1, rf[i][1] + m),) + rf[i + 1 :])
+        i = bases.index(1)
+        u = rf[i][1]
+        grown = grown_runs.get(u)
+        if grown is None:
+            grown = grown_runs[u] = (1, u + m)
+        if i == 0:
+            leading.append((grown,) + rf[1:])
+        else:
+            trailing.append(rf[:i] + (grown,) + rf[i + 1 :])
+    # A leading run of ones longer than r sorts before the front-glued
+    # forms, whose r ones meet a base of at least m; every other form
+    # starts with a base of at least m.  So the order is the leading
+    # grown forms, then the front-glued ones, then the back-glued ones
+    # merged into the trailing grown ones.  The back-glued forms are few,
+    # sp(n - r) = sp((n - r) / m) of them, so each is placed by a
+    # bisection from where the last one went, and only those probes
+    # compute a sort key.
+    out = leading
+    out += [glue + rf for rf in shorter]
+    lo = 0
+    for rf in shorter:
+        glued = rf + glue
+        hi = bisect_left(trailing, _runform_order(glued), lo, key=_runform_order)
+        out += trailing[lo:hi]
+        out.append(glued)
+        lo = hi
+    out += trailing[lo:]
     if len(set(out)) != len(out):
         raise RuntimeError(f"construction sources overlap at n={n}, m={m}")
-    out.sort(key=_runform_order)
     return tuple(out)
 
 

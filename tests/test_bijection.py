@@ -9,8 +9,6 @@ from semipell.core import (
     NOT_UNIMODAL,
     is_semi_m_pell,
     membership_failure,
-    runform_weight,
-    weight,
 )
 from semipell.enumeration import enumerate_oc, enumerate_sp
 
@@ -145,7 +143,7 @@ def test_weight_preserved_runwise():
         for n in range(0, 30):
             for c in enumerate_sp(n, m):
                 rf = to_oc(c, m)
-                assert runform_weight(rf) == weight(c) == n
+                assert sum(b * u for b, u in rf) == sum(c) == n
                 assert all(b * u == part for (b, u), part in zip(rf, c))
 
 
@@ -168,6 +166,35 @@ def test_roundtrip_reports():
             report = roundtrip_check(n, m)
             assert report.passed
             assert report.checked == 3
+
+
+def _observed(report):
+    seen = {label.split(":", 1)[1]: observed for label, observed, _ in report.violations}
+    return {fact: seen.get(fact, 0) for fact in ("from_oc(to_oc)", "to_oc(from_oc)", "image")}
+
+
+def test_roundtrip_check_sees_a_broken_map(monkeypatch):
+    import semipell.bijection as bijection
+
+    comps = enumerate_sp(9, 2)
+    victim, other = comps[3], comps[4]
+    victim_image = to_oc(victim, 2)
+
+    # victim's image is other's, so its true image is nobody's: every
+    # fact reads to_oc and each sees the one bad object
+    with monkeypatch.context() as patch:
+        patch.setattr(bijection, "to_oc", lambda c, m: to_oc(other if c == victim else c, m))
+        report = roundtrip_check(9, 2)
+    assert report.checked == 3
+    assert _observed(report) == {"from_oc(to_oc)": 1, "to_oc(from_oc)": 1, "image": 1}
+
+    # victim's image inverts to other: both round trips through from_oc
+    # fail once, and the image fact, which never calls from_oc, holds
+    with monkeypatch.context() as patch:
+        patch.setattr(bijection, "from_oc", lambda rf, m: other if rf == victim_image else from_oc(rf, m))
+        report = roundtrip_check(9, 2)
+    assert report.checked == 3
+    assert _observed(report) == {"from_oc(to_oc)": 1, "to_oc(from_oc)": 1, "image": 0}
 
 
 @given(st.integers(0, 45), st.integers(2, 5), st.data())

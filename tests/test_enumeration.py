@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semipell
-from semipell.core import is_semi_m_pell, runform_parts, runform_weight, validate_runform, weight
+from semipell.core import is_semi_m_pell, runform_parts, validate_runform
 from semipell.enumeration import (
     ENUMERATION_LIMIT,
     SearchBoundExceeded,
@@ -83,12 +83,12 @@ def test_generated_objects_are_valid_and_sorted():
             comps = enumerate_sp(n, m)
             assert comps == sorted(comps)
             assert len(set(comps)) == len(comps)
-            assert all(weight(c) == n and is_semi_m_pell(c, m) for c in comps)
+            assert all(sum(c) == n and is_semi_m_pell(c, m) for c in comps)
             forms = enumerate_oc(n, m)
             flat = [runform_parts(rf) for rf in forms]
             assert flat == sorted(flat)
             assert len(set(forms)) == len(forms)
-            assert all(runform_weight(rf) == n and validate_runform(rf, m) for rf in forms)
+            assert all(sum(runform_parts(rf)) == n and validate_runform(rf, m) for rf in forms)
 
 
 def test_exactly_one_residue_part_for_nonmultiples():
@@ -202,12 +202,69 @@ def test_search_bounds_are_enforced():
 
 
 def test_members_come_in_flattened_order():
-    for m, n_max in ((2, 100), (3, 60), (4, 60), (5, 60)):
+    for m, n_max in [(2, 100)] + [(m, 60) for m in range(3, 11)]:
         for n in range(n_max + 1):
             comps = enumerate_sp(n, m)
             assert comps == sorted(comps)
             forms = enumerate_oc(n, m)
             assert forms == sorted(forms, key=runform_parts), (n, m)
+
+
+def test_run_forms_share_their_runs():
+    # runs are shared between forms, not copied: the forms of every
+    # weight up to 100 hold only a few thousand distinct run objects,
+    # where a copy per form would make about 200,000
+    runs = {id(run) for n in range(ENUMERATION_LIMIT + 1) for rf in enumerate_oc(n, 2) for run in rf}
+    assert len(runs) < 10_000
+
+
+@pytest.fixture
+def corrupt(monkeypatch):
+    """Make one weight of a generator memo return the given members.
+
+    Returns the memo's unwrapped builder, whose recursion then reads the
+    corrupted weight.  Both memos are cleared afterwards, so nothing
+    built from the corrupted weight outlives the test.
+    """
+    import semipell.enumeration as enumeration
+
+    memos = (enumeration._sp_members, enumeration._oc_members)
+
+    def apply(name, weight, members):
+        memo = getattr(enumeration, name)
+
+        def patched(n, m):
+            return tuple(members) if n == weight else memo(n, m)
+
+        monkeypatch.setattr(enumeration, name, patched)
+        return memo.__wrapped__
+
+    yield apply
+    for memo in memos:
+        memo.cache_clear()
+
+
+# (memo, weight to corrupt, its members, message); at m = 2 weight 7 is
+# built from weights 6 and 5
+CORRUPTIONS = [
+    ("_sp_members", 6, [(2, 4), (2, 4), (4, 2), (6,)], "construction sources overlap"),
+    ("_sp_members", 6, [(1,), (2, 4), (4, 2), (6,)], "construction sources overlap"),
+    ("_sp_members", 5, [(1, 4), (1, 4), (5,)], "construction sources overlap"),
+    ("_sp_members", 5, [(1, 4), (2, 4), (5,)], "lacks a unique residue part"),
+    ("_sp_members", 5, [(1, 4), (1, 2, 1), (5,)], "lacks a unique residue part"),
+    ("_oc_members", 6, [((2, 3),), ((2, 3),), ((4, 1), (2, 1))], "construction sources overlap"),
+    ("_oc_members", 6, [((1, 1),), ((2, 3),), ((4, 1), (2, 1))], "construction sources overlap"),
+    ("_oc_members", 5, [((1, 5),), ((1, 5),), ((4, 1), (1, 1))], "construction sources overlap"),
+    ("_oc_members", 5, [((1, 5),), ((1, 1), (2, 1), (1, 1)), ((4, 1), (1, 1))], "lacks a unique run of ones"),
+    ("_oc_members", 5, [((1, 5),), ((2, 1), (4, 1)), ((4, 1), (1, 1))], "lacks a unique run of ones"),
+]
+
+
+@pytest.mark.parametrize("memo, weight, members, message", CORRUPTIONS)
+def test_generator_hard_failures(corrupt, memo, weight, members, message):
+    build = corrupt(memo, weight, members)
+    with pytest.raises(RuntimeError, match=message):
+        build(7, 2)
 
 
 def test_returned_lists_are_fresh():
