@@ -24,6 +24,7 @@ from .congruence import (
 from .core import (
     NOT_DISTINCT,
     NOT_UNIMODAL,
+    SearchBoundExceeded,
     is_semi_m_pell,
     max_m_power,
     membership_failure,
@@ -36,7 +37,6 @@ from .core import (
 )
 from .enumeration import (
     ENUMERATION_LIMIT,
-    SearchBoundExceeded,
     enumerate_oc,
     enumerate_sp,
     oracle_agreement,

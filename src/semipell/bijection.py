@@ -51,12 +51,19 @@ def roundtrip_check(n: int, m: int) -> CongruenceReport:
     and the image of the composition family is exactly the run-form
     family.  Violations record symmetric-difference or mismatch counts,
     all expected zero.
+    """
+    report = CongruenceReport("roundtrip", {"n": n, "m": m})
+    _record_roundtrip(report, n, m)
+    return report
+
+
+def _record_roundtrip(report: CongruenceReport, n: int, m: int) -> None:
+    """Record roundtrip_check's three facts for weight n into report.
 
     Each map runs once per object: to_oc on every composition, from_oc
     on every image.  The second fact reads both maps back for a run form
     that is an image, and calls them afresh only for one that is not.
     """
-    report = CongruenceReport("roundtrip", {"n": n, "m": m})
     compositions = enumerate_sp(n, m)
     runforms = enumerate_oc(n, m)
     images = [to_oc(c, m) for c in compositions]
@@ -76,4 +83,3 @@ def roundtrip_check(n: int, m: int) -> CongruenceReport:
         bad += image != rf
     report.record(f"n={n}:to_oc(from_oc)", bad, 0)
     report.record(f"n={n}:image", len(set(images) ^ set(runforms)), 0)
-    return report

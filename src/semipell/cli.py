@@ -6,12 +6,15 @@ violation, 2 malformed usage or arguments, 3 an input bound was
 exceeded, 4 the input was rejected as not belonging to the domain
 (for example a composition that is not semi-m-Pell handed to map).
 
-The bounds are fixed: enum, roundtrip and the oracle sweep stop at the
-search bounds of the enumeration module, count refuses n above
-COUNT_LIMIT, series and check funceq refuse orders above ORDER_LIMIT,
-table and the check sweeps refuse dense count ranges past RANGE_LIMIT,
-ob-parity refuses n above OB_PARITY_LIMIT, and scaling refuses scaled
-weights above COUNT_LIMIT.
+The bounds are fixed, and the library enforces most of them itself:
+enum and the oracle sweep stop at the search bounds of the enumeration
+module, table and the check sweeps refuse dense count ranges past
+recurrence.RANGE_LIMIT, funceq refuses orders above series.ORDER_LIMIT,
+ob-parity n above congruence.OB_PARITY_LIMIT, and scaling scaled
+weights above recurrence.COUNT_LIMIT.  This module adds three: count
+refuses n above COUNT_LIMIT, series orders above ORDER_LIMIT, and
+roundtrip weights above ENUMERATION_LIMIT, before generating any.
+check also refuses, as malformed usage, a flag its family does not read.
 
 Compositions print as (1,2) and run forms as (1^3,2), with the
 multiplicity omitted when it is 1; the same syntax, minus the
@@ -25,9 +28,8 @@ import json
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .bijection import from_oc, roundtrip_check, to_oc
+from .bijection import _record_roundtrip, from_oc, to_oc
 from .congruence import (
-    SPECIAL_CASES,
     check_mod3,
     check_mod4_base,
     check_mod4_general,
@@ -36,44 +38,11 @@ from .congruence import (
     check_partial_sum_mod3,
     check_special_cases,
 )
-from .enumeration import (
-    ENUMERATION_LIMIT,
-    SearchBoundExceeded,
-    enumerate_oc,
-    enumerate_sp,
-    oracle_agreement,
-)
-from .recurrence import check_plateau_identity, check_scaling_identity, sp, sp_table
-from .report import CongruenceReport, merge_reports
-from .series import functional_equation_residual, qm_series
-
-# Fixed input bounds, exit 3 beyond them.  A count costs a polynomial in
-# the number of base-m digits of n, under a second at COUNT_LIMIT; the
-# series is built from its sparse factors and running sums in
-# O(order log order), milliseconds at ORDER_LIMIT.  The sweeps allocate
-# a dense count list up to their top weight, and table one per modulus;
-# RANGE_LIMIT bounds that weight, and table's total, at a quarter second
-# and tens of MB.  The two-size parity counter is quadratic, about 1.5 s
-# at OB_PARITY_LIMIT.
-COUNT_LIMIT = 10**50
-ORDER_LIMIT = 4096
-RANGE_LIMIT = 10**6
-OB_PARITY_LIMIT = 10**4
-
-CHECK_FAMILIES = (
-    "oddness",
-    "mod4",
-    "mod4-general",
-    "mod3",
-    "partial-sum",
-    "ob-parity",
-    "plateau",
-    "scaling",
-    "special-cases",
-    "roundtrip",
-    "oracle",
-    "funceq",
-)
+from .core import SearchBoundExceeded, check_bound
+from .enumeration import ENUMERATION_LIMIT, enumerate_oc, enumerate_sp, oracle_agreement
+from .recurrence import COUNT_LIMIT, check_plateau_identity, check_scaling_identity, sp, sp_table
+from .report import CongruenceReport
+from .series import ORDER_LIMIT, functional_equation_residual, qm_series
 
 
 def format_composition(parts: Sequence[int]) -> str:
@@ -142,22 +111,8 @@ def _modulus(text: str) -> int:
     return value
 
 
-def _check_limit(value: int, limit: int, what: str) -> None:
-    if value > limit:
-        raise SearchBoundExceeded(f"{what} refuses {value}, bound is {limit}")
-
-
-def _scaling_power_limit(m: int, top: int) -> int:
-    """Largest j with m^j * top <= COUNT_LIMIT, for 1 <= top <= COUNT_LIMIT."""
-    j = 0
-    while top * m <= COUNT_LIMIT:
-        top *= m
-        j += 1
-    return j
-
-
 def cmd_count(args: argparse.Namespace) -> int:
-    _check_limit(args.n, COUNT_LIMIT, "count")
+    check_bound(args.n, COUNT_LIMIT, "count")
     value = sp(args.n, args.m)
     if args.json:
         print(json.dumps({"n": args.n, "m": args.m, "sp": str(value)}))
@@ -170,7 +125,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.m_min > args.m_max:
         raise ValueError("m_min exceeds m_max")
     moduli = range(args.m_min, args.m_max + 1)
-    _check_limit((args.n_max + 1) * len(moduli), RANGE_LIMIT, "table (n_max + 1) * moduli")
     rows = sp_table(args.n_max, moduli)
     print("\t".join(["n"] + [str(n) for n in range(1, args.n_max + 1)]))
     for m, row in zip(moduli, rows):
@@ -207,7 +161,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    _check_limit(args.order, ORDER_LIMIT, "series order")
+    check_bound(args.order, ORDER_LIMIT, "series order")
     for n, coefficient in enumerate(qm_series(args.m, args.order)):
         print(f"{n} {coefficient}")
     return 0
@@ -217,73 +171,57 @@ def _pick(value: Optional[int], default: int) -> int:
     return default if value is None else value
 
 
+def _scaling_report(m: int, j_max: int, v_max: Optional[int]) -> CongruenceReport:
+    return check_scaling_identity(m, j_max, _pick(v_max, m))
+
+
+def _roundtrip_report(m: int, n_max: int) -> CongruenceReport:
+    check_bound(n_max, ENUMERATION_LIMIT, "roundtrip n_max")
+    report = CongruenceReport("roundtrip", {"m": m, "n_max": n_max})
+    for n in range(n_max + 1):
+        _record_roundtrip(report, n, m)
+    return report
+
+
 def _funceq_report(m: int, order: int) -> CongruenceReport:
-    _check_limit(order, ORDER_LIMIT, "funceq order")
     report = CongruenceReport("funceq", {"m": m, "order": order})
     for n, coefficient in enumerate(functional_equation_residual(m, order)):
         report.record(f"n={n}", coefficient, 0)
     return report
 
 
+def _check_table() -> dict:
+    """family -> (function, ((flag, default), ...)).
+
+    The flags' values are the function's arguments, in order; a family
+    refuses every other flag.  Built per call, so that the names are
+    looked up when a check runs.
+    """
+    return {
+        "oddness": (check_oddness, (("nmax", 1000), ("m", 2))),
+        "mod4": (check_mod4_base, (("nmax", 500),)),
+        "mod4-general": (check_mod4_general, (("m", 2), ("jmax", 200))),
+        "mod3": (check_mod3, (("m", 4), ("jmax", 100))),
+        "partial-sum": (check_partial_sum_mod3, (("m", 4), ("jmax", 100))),
+        "ob-parity": (check_ob_parity, (("nmax", 1000),)),
+        "plateau": (check_plateau_identity, (("vmax", 100), ("m", 2))),
+        "scaling": (_scaling_report, (("m", 2), ("jmax", 12), ("vmax", None))),
+        "special-cases": (check_special_cases, (("jmax", 200),)),
+        "roundtrip": (_roundtrip_report, (("m", 2), ("nmax", 20))),
+        "oracle": (oracle_agreement, (("m", 2), ("nmax", 20), ("side", "both"))),
+        "funceq": (_funceq_report, (("m", 2), ("order", 256))),
+    }
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    family = args.family
-    m = args.m
-    if family in ("mod4", "ob-parity") and m not in (None, 2):
-        raise ValueError(f"{family} is a base-two family; omit --m or pass 2")
-    if family == "special-cases" and m is not None:
-        raise ValueError("special-cases has fixed moduli; omit --m")
-    what = f"{family} top weight"
-    if family == "oddness":
-        n_max = _pick(args.nmax, 1000)
-        _check_limit(n_max, RANGE_LIMIT, what)
-        report = check_oddness(n_max, _pick(m, 2))
-    elif family == "mod4":
-        n_max = _pick(args.nmax, 500)
-        _check_limit(2 * n_max + 1, RANGE_LIMIT, what)
-        report = check_mod4_base(n_max)
-    elif family == "mod4-general":
-        modulus, j_max = _pick(m, 2), _pick(args.jmax, 200)
-        _check_limit(2 * modulus * j_max + modulus + 1, RANGE_LIMIT, what)
-        report = check_mod4_general(modulus, j_max)
-    elif family == "mod3":
-        modulus, j_max = _pick(m, 4), _pick(args.jmax, 100)
-        _check_limit(modulus * modulus * j_max + 2 * modulus - 1, RANGE_LIMIT, what)
-        report = check_mod3(modulus, j_max)
-    elif family == "partial-sum":
-        modulus, j_max = _pick(m, 4), _pick(args.jmax, 100)
-        _check_limit(modulus * j_max + 1, RANGE_LIMIT, what)
-        report = check_partial_sum_mod3(modulus, j_max)
-    elif family == "ob-parity":
-        n_max = _pick(args.nmax, 1000)
-        _check_limit(n_max, OB_PARITY_LIMIT, "ob-parity n_max")
-        report = check_ob_parity(n_max)
-    elif family == "plateau":
-        modulus, v_max = _pick(m, 2), _pick(args.vmax, 100)
-        _check_limit(v_max * modulus + modulus - 1, RANGE_LIMIT, what)
-        report = check_plateau_identity(v_max, modulus)
-    elif family == "scaling":
-        modulus = _pick(m, 2)
-        j_max, v_max = _pick(args.jmax, 12), _pick(args.vmax, modulus)
-        top = modulus * v_max + modulus - 1
-        _check_limit(top, RANGE_LIMIT, what)
-        # the largest scaled weight is modulus^j_max * top
-        _check_limit(j_max, _scaling_power_limit(modulus, top), "scaling j_max")
-        report = check_scaling_identity(modulus, j_max, v_max)
-    elif family == "special-cases":
-        j_max = _pick(args.jmax, 200)
-        top = max(stride * j_max + offset for _, _, stride, offset, _, _ in SPECIAL_CASES)
-        _check_limit(top, RANGE_LIMIT, what)
-        report = check_special_cases(j_max)
-    elif family == "roundtrip":
-        modulus = _pick(m, 2)
-        n_max = _pick(args.nmax, 20)
-        _check_limit(n_max, ENUMERATION_LIMIT, "roundtrip n_max")
-        reports = [roundtrip_check(n, modulus) for n in range(n_max + 1)]
-        report = merge_reports("roundtrip", {"m": modulus, "n_max": n_max}, reports)
-    elif family == "oracle":
-        report = oracle_agreement(_pick(m, 2), _pick(args.nmax, 20), args.side)
-    else:
-        report = _funceq_report(_pick(m, 2), _pick(args.order, 256))
+    check, flags = _check_table()[args.family]
+    read = {flag for flag, _ in flags}
+    if args.family in ("mod4", "ob-parity") and args.m == 2:
+        read.add("m")  # a base-two family accepts its own modulus
+    for flag in ("m", "nmax", "jmax", "vmax", "order", "side"):
+        if flag not in read and getattr(args, flag) is not None:
+            raise ValueError(f"check {args.family} does not take --{flag}")
+    report = check(*(_pick(getattr(args, flag), default) for flag, default in flags))
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
@@ -326,13 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("check", help="run one verification sweep")
-    p.add_argument("family", choices=CHECK_FAMILIES)
-    p.add_argument("--m", type=_modulus, default=None)
-    p.add_argument("--nmax", type=_nonneg, default=None)
-    p.add_argument("--jmax", type=_nonneg, default=None)
-    p.add_argument("--vmax", type=_nonneg, default=None)
-    p.add_argument("--order", type=_nonneg, default=None)
-    p.add_argument("--side", choices=("sp", "oc", "both"), default="both",
+    p.add_argument("family", choices=_check_table())
+    p.add_argument("--m", type=_modulus)
+    p.add_argument("--nmax", type=_nonneg)
+    p.add_argument("--jmax", type=_nonneg)
+    p.add_argument("--vmax", type=_nonneg)
+    p.add_argument("--order", type=_nonneg)
+    p.add_argument("--side", choices=("sp", "oc", "both"),
                    help="which oracle comparison to run (oracle family only)")
     p.set_defaults(func=cmd_check)
 

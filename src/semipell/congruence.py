@@ -3,7 +3,12 @@
 Every checker replays one family of congruences over a dense range of
 counts from the recurrence (the two-size parity family over its own
 partition counter) and returns a CongruenceReport; nothing here is
-proved, only verified instance by instance.
+proved, only verified instance by instance.  Oddness, both mod 4
+families, mod 3 and the special cases are rows (stride, offset,
+modulus, residue) read by one progression sweep over one dense range.
+Each sweep refuses its own input bound before it allocates or counts
+anything: a top weight past recurrence.RANGE_LIMIT, or for the parity
+family an n past OB_PARITY_LIMIT.
 
   * oddness: sp(n, m) is odd for every n >= 0.
   * mod 4, base case m = 2: sp(2n + 1, 2) = 2n + 1 (mod 4).
@@ -24,9 +29,31 @@ proved, only verified instance by instance.
 
 from __future__ import annotations
 
-from .core import check_modulus, check_nonneg
-from .recurrence import _sp_range
+from typing import Iterable, Tuple
+
+from .core import check_bound, check_modulus, check_nonneg
+from .recurrence import RANGE_LIMIT, _sp_range
 from .report import CongruenceReport
+
+# The two-size parity counter is quadratic, about 1.5 s at this bound.
+OB_PARITY_LIMIT = 10**4
+
+# label prefix, stride, offset, residue modulus, expected residue
+Row = Tuple[str, int, int, int, int]
+
+
+def _sweep(report: CongruenceReport, m: int, top: int, rows: Iterable[Row]) -> CongruenceReport:
+    """Record sp(n, m) mod modulus == residue for n = offset, offset + stride, ... <= top.
+
+    One dense range sp(0..top, m) serves every row; a top weight past
+    RANGE_LIMIT is refused before it is allocated.
+    """
+    check_bound(top, RANGE_LIMIT, f"{report.family} top weight")
+    counts = _sp_range(top, m)
+    for label, stride, offset, modulus, residue in rows:
+        for n in range(offset, top + 1, stride):
+            report.record(f"{label}n={n}", counts[n] % modulus, residue)
+    return report
 
 
 def check_oddness(n_max: int, m: int) -> CongruenceReport:
@@ -34,21 +61,22 @@ def check_oddness(n_max: int, m: int) -> CongruenceReport:
     check_nonneg(n_max, "n_max")
     check_modulus(m)
     report = CongruenceReport("oddness", {"m": m, "n_max": n_max})
-    counts = _sp_range(n_max, m)
-    for n in range(n_max + 1):
-        report.record(f"n={n}", counts[n] % 2, 1)
-    return report
+    return _sweep(report, m, n_max, [("", 1, 0, 2, 1)])
+
+
+def _mod4_rows(m: int) -> Tuple[Row, Row]:
+    """sp(2mj + 1, m) == 1 and sp(2mj + m + 1, m) == 3 (mod 4)."""
+    return ("", 2 * m, 1, 4, 1), ("", 2 * m, m + 1, 4, 3)
 
 
 def check_mod4_base(n_max: int) -> CongruenceReport:
-    """sp(2n + 1, 2) mod 4 == (2n + 1) mod 4 for 0 <= n <= n_max."""
+    """sp(2n + 1, 2) mod 4 == (2n + 1) mod 4 for 0 <= n <= n_max.
+
+    At m = 2 the two general rows tile exactly the odd weights.
+    """
     check_nonneg(n_max, "n_max")
     report = CongruenceReport("mod4", {"m": 2, "n_max": n_max})
-    counts = _sp_range(2 * n_max + 1, 2)
-    for n in range(n_max + 1):
-        arg = 2 * n + 1
-        report.record(f"n={arg}", counts[arg] % 4, arg % 4)
-    return report
+    return _sweep(report, 2, 2 * n_max + 1, _mod4_rows(2))
 
 
 def check_mod4_general(m: int, j_max: int) -> CongruenceReport:
@@ -56,11 +84,7 @@ def check_mod4_general(m: int, j_max: int) -> CongruenceReport:
     check_modulus(m)
     check_nonneg(j_max, "j_max")
     report = CongruenceReport("mod4-general", {"m": m, "j_max": j_max})
-    counts = _sp_range(2 * m * j_max + m + 1, m)
-    for j in range(j_max + 1):
-        report.record(f"j={j},n={2 * m * j + 1}", counts[2 * m * j + 1] % 4, 1)
-        report.record(f"j={j},n={2 * m * j + m + 1}", counts[2 * m * j + m + 1] % 4, 3)
-    return report
+    return _sweep(report, m, 2 * m * j_max + m + 1, _mod4_rows(m))
 
 
 def _check_mod3_modulus(m: int) -> None:
@@ -74,20 +98,18 @@ def check_mod3(m: int, j_max: int) -> CongruenceReport:
     _check_mod3_modulus(m)
     check_nonneg(j_max, "j_max")
     report = CongruenceReport("mod3", {"m": m, "j_max": j_max})
-    counts = _sp_range(m * m * j_max + 2 * m - 1, m)
-    for j in range(j_max + 1):
-        for r in range(1, m):
-            arg = m * m * j + m + r
-            report.record(f"j={j},r={r}", counts[arg] % 3, 0)
-    return report
+    rows = [("", m * m, m + r, 3, 0) for r in range(1, m)]
+    return _sweep(report, m, m * m * j_max + 2 * m - 1, rows)
 
 
 def check_partial_sum_mod3(m: int, j_max: int) -> CongruenceReport:
     """Partial sums sp(1) + ... + sp(mj + 1) == 1 mod 3, j <= j_max."""
     _check_mod3_modulus(m)
     check_nonneg(j_max, "j_max")
+    top = m * j_max + 1
+    check_bound(top, RANGE_LIMIT, "partial-sum top weight")
     report = CongruenceReport("partial-sum", {"m": m, "j_max": j_max})
-    counts = _sp_range(m * j_max + 1, m)
+    counts = _sp_range(top, m)
     total = 0
     upto = 0
     for j in range(j_max + 1):
@@ -128,7 +150,7 @@ def count_two_size_odd_partitions(n: int) -> int:
 
 def check_ob_parity(n_max: int) -> CongruenceReport:
     """Two-size partition counts have parity (n mod 4 - 1) / 2, odd n <= n_max."""
-    check_nonneg(n_max, "n_max")
+    check_bound(n_max, OB_PARITY_LIMIT, "ob-parity n_max")
     report = CongruenceReport("ob-parity", {"n_max": n_max})
     for n in range(1, n_max + 1, 2):
         expected = (n % 4 - 1) // 2
@@ -156,10 +178,10 @@ def check_special_cases(j_max: int = 200) -> CongruenceReport:
     general family to one stride and offset.
     """
     check_nonneg(j_max, "j_max")
+    tops = [stride * j_max + offset for _, _, stride, offset, _, _ in SPECIAL_CASES]
+    # refuse the largest range before building any
+    check_bound(max(tops), RANGE_LIMIT, "special-cases top weight")
     report = CongruenceReport("special-cases", {"j_max": j_max})
-    for label, m, stride, offset, modulus, expected in SPECIAL_CASES:
-        counts = _sp_range(stride * j_max + offset, m)
-        for j in range(j_max + 1):
-            arg = stride * j + offset
-            report.record(f"({label}) j={j}", counts[arg] % modulus, expected)
+    for (label, m, stride, offset, modulus, expected), top in zip(SPECIAL_CASES, tops):
+        _sweep(report, m, top, [(f"({label}) ", stride, offset, modulus, expected)])
     return report

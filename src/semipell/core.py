@@ -48,6 +48,21 @@ def check_nonneg(value: int, name: str) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
+class SearchBoundExceeded(ValueError):
+    """A search, a sweep or a command was asked to exceed its hard input bound."""
+
+
+def check_bound(value: int, limit: int, what: str) -> None:
+    """Reject value unless it is an integer in 0..limit; what names it in the message.
+
+    A value above limit raises SearchBoundExceeded, anything else that
+    is not a nonnegative integer a plain ValueError.
+    """
+    check_nonneg(value, what)
+    if value > limit:
+        raise SearchBoundExceeded(f"{what} refuses {value}, bound is {limit}")
+
+
 def max_m_power(n: int, m: int) -> int:
     """Largest power of m dividing n.
 

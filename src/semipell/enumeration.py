@@ -52,8 +52,8 @@ from typing import List
 from .core import (
     Composition,
     RunForm,
+    check_bound,
     check_modulus,
-    check_nonneg,
     is_semi_m_pell,
     runform_parts,
 )
@@ -65,16 +65,6 @@ from .report import CongruenceReport
 SP_ORACLE_LIMIT = 40
 OC_ORACLE_LIMIT = 60
 ENUMERATION_LIMIT = 100
-
-
-class SearchBoundExceeded(ValueError):
-    """A search or a command was asked to exceed its hard input bound."""
-
-
-def _check_weight(n: int, limit: int, what: str) -> None:
-    check_nonneg(n, "weight")
-    if n > limit:
-        raise SearchBoundExceeded(f"{what} refuses n={n}, bound is {limit}")
 
 
 @lru_cache(maxsize=None)
@@ -178,14 +168,14 @@ def _oc_members(n: int, m: int) -> tuple:
 def enumerate_sp(n: int, m: int) -> List[Composition]:
     """All semi-m-Pell compositions of n in lexicographic part order."""
     check_modulus(m)
-    _check_weight(n, ENUMERATION_LIMIT, "enumerate_sp")
+    check_bound(n, ENUMERATION_LIMIT, "enumerate_sp weight")
     return list(_sp_members(n, m))
 
 
 def enumerate_oc(n: int, m: int) -> List[RunForm]:
     """All run forms of weight n, ordered by their flattened parts."""
     check_modulus(m)
-    _check_weight(n, ENUMERATION_LIMIT, "enumerate_oc")
+    check_bound(n, ENUMERATION_LIMIT, "enumerate_oc weight")
     return list(_oc_members(n, m))
 
 
@@ -199,7 +189,7 @@ def oracle_sp(n: int, m: int) -> List[Composition]:
     the recursive construction.
     """
     check_modulus(m)
-    _check_weight(n, SP_ORACLE_LIMIT, "oracle_sp")
+    check_bound(n, SP_ORACLE_LIMIT, "oracle_sp weight")
     if n == 0:
         return [()]
     power = [0] * (n + 1)  # power[p] is the max m-power of p
@@ -237,7 +227,7 @@ def oracle_oc(n: int, m: int) -> List[RunForm]:
     right runs descend, so each choice yields exactly one run form.
     """
     check_modulus(m)
-    _check_weight(n, OC_ORACLE_LIMIT, "oracle_oc")
+    check_bound(n, OC_ORACLE_LIMIT, "oracle_oc weight")
     if n == 0:
         return [()]
     powers = []
@@ -283,9 +273,9 @@ def oracle_agreement(m: int, n_max: int, side: str = "both") -> CongruenceReport
     if side not in ("sp", "oc", "both"):
         raise ValueError(f"side must be sp, oc or both, got {side!r}")
     if side in ("sp", "both"):
-        _check_weight(n_max, SP_ORACLE_LIMIT, "oracle_sp")
+        check_bound(n_max, SP_ORACLE_LIMIT, "oracle_sp weight")
     if side in ("oc", "both"):
-        _check_weight(n_max, OC_ORACLE_LIMIT, "oracle_oc")
+        check_bound(n_max, OC_ORACLE_LIMIT, "oracle_oc weight")
     report = CongruenceReport("oracle", {"m": m, "n_max": n_max})
     for n in range(n_max + 1):
         if side in ("sp", "both"):

@@ -31,10 +31,20 @@ from __future__ import annotations
 
 from math import comb
 from operator import mul
-from typing import Iterable, List
+from typing import List, Sequence
 
-from .core import check_modulus, check_nonneg
+from .core import check_bound, check_modulus, check_nonneg
 from .report import CongruenceReport
+
+# Hard input bounds.  A point count costs a polynomial in the number of
+# base-m digits of n, under a second at COUNT_LIMIT, the largest weight
+# the count command and the scaling sweep hand to sp.  Every sweep reads
+# its counts from one dense list up to its top weight, sp_table from one
+# list per modulus; RANGE_LIMIT bounds that weight, and sp_table's
+# total, at a quarter second and tens of MB.  Each sweep refuses its own
+# top weight before it allocates anything.
+COUNT_LIMIT = 10**50
+RANGE_LIMIT = 10**6
 
 
 def _sp_range(n_max: int, m: int) -> List[int]:
@@ -127,9 +137,10 @@ def sp(n: int, m: int) -> int:
     return 2 * _prefix_count(n // m, m) - 1
 
 
-def sp_table(n_max: int, moduli: Iterable[int]) -> List[List[int]]:
+def sp_table(n_max: int, moduli: Sequence[int]) -> List[List[int]]:
     """Rows of counts, one per modulus, columns n = 1 .. n_max."""
     check_nonneg(n_max, "weight")
+    check_bound((n_max + 1) * len(moduli), RANGE_LIMIT, "sp_table (n_max + 1) * moduli")
     rows = []
     for m in moduli:
         check_modulus(m)
@@ -147,8 +158,10 @@ def check_plateau_identity(v_max: int, m: int) -> CongruenceReport:
     """
     check_nonneg(v_max, "weight")
     check_modulus(m)
+    top = v_max * m + m - 1
+    check_bound(top, RANGE_LIMIT, "plateau top weight")
     report = CongruenceReport("plateau", {"m": m, "v_max": v_max})
-    counts = _sp_range(v_max * m + m - 1, m)
+    counts = _sp_range(top, m)
     prefix = 0
     for n in range(v_max + 1):
         expected = 1 + 2 * prefix
@@ -169,16 +182,23 @@ def check_scaling_identity(m: int, j_max: int, v_max: int) -> CongruenceReport:
     0 <= v <= min(v_max, m) and 1 <= r < m, which covers the count-one
     weights m^j * h with 1 <= h < m as the v = 0 case.  The scaled
     weights go through sp; the unscaled counts come from the dense
-    recurrence.
+    recurrence.  The largest scaled weight, m^j_max * (m * v_max + m - 1),
+    must stay within COUNT_LIMIT.
     """
     check_nonneg(j_max, "weight")
     check_nonneg(v_max, "weight")
     check_modulus(m)
+    top = m * v_max + m - 1
+    check_bound(top, RANGE_LIMIT, "scaling top weight")
+    j_limit, scaled = 0, top * m
+    while scaled <= COUNT_LIMIT:
+        j_limit, scaled = j_limit + 1, scaled * m
+    check_bound(j_max, j_limit, "scaling j_max")
     report = CongruenceReport("scaling", {"m": m, "j_max": j_max, "v_max": v_max})
-    counts = _sp_range(m * v_max + m - 1, m)
+    counts = _sp_range(top, m)
     for j in range(j_max + 1):
         scale = m**j
-        for h in range(1, m * v_max + m):
+        for h in range(1, top + 1):
             if h % m:
                 report.record(f"j={j},h={h}", sp(scale * h, m), counts[h])
         for v in range(min(v_max, m) + 1):

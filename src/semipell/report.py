@@ -40,12 +40,3 @@ class CongruenceReport:
         for label, observed, expected in self.violations:
             out.append(f"  violation {label}: observed={observed} expected={expected}")
         return out
-
-
-def merge_reports(family: str, params: Dict[str, int], reports: List[CongruenceReport]) -> CongruenceReport:
-    """Fold several per-instance reports into one aggregate."""
-    merged = CongruenceReport(family=family, params=params)
-    for rep in reports:
-        merged.checked += rep.checked
-        merged.violations.extend(rep.violations)
-    return merged

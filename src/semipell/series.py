@@ -36,7 +36,11 @@ from itertools import accumulate
 from operator import add, sub
 from typing import List, Sequence, Tuple
 
-from .core import check_modulus, check_nonneg
+from .core import check_bound, check_modulus, check_nonneg
+
+# The series costs O(order log order), milliseconds at this bound; the
+# residual sweep and the series command refuse orders above it.
+ORDER_LIMIT = 4096
 
 
 def _times_sparse(coeffs: List[int], factor: Sequence[Tuple[int, int]]) -> List[int]:
@@ -100,9 +104,11 @@ def functional_equation_residual(m: int, order: int) -> List[int]:
     Identically zero through the requested order when the counting
     series is correct; any nonzero coefficient is a defect witness.
     Both sides multiply by sparse factors only, one pass per term.
+    Orders above ORDER_LIMIT are refused.
     """
     check_modulus(m)
     check_nonneg(order, "order")
+    check_bound(order, ORDER_LIMIT, "functional_equation_residual order")
     q = qm_series(m, order)
     q_sub = [0] * (order + 1)  # Q(x^m)
     q_sub[::m] = q[: order // m + 1]

@@ -8,9 +8,7 @@ import pytest
 from semipell import ENUMERATION_LIMIT, sp
 from semipell.cli import (
     COUNT_LIMIT,
-    OB_PARITY_LIMIT,
     ORDER_LIMIT,
-    RANGE_LIMIT,
     build_parser,
     format_composition,
     format_runform,
@@ -18,6 +16,8 @@ from semipell.cli import (
     parse_composition,
     parse_runform,
 )
+from semipell.congruence import OB_PARITY_LIMIT
+from semipell.recurrence import RANGE_LIMIT
 
 TABLE_1_TO_15 = {
     2: [1, 1, 3, 1, 5, 3, 11, 1, 13, 5, 23, 3, 29, 11, 51],
@@ -194,6 +194,26 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys)[0] == 2
 
 
+def test_check_refuses_flags_the_family_does_not_read(capsys):
+    for argv in (
+        ("check", "mod3", "--nmax", "5"),
+        ("check", "oddness", "--jmax", "5"),
+        ("check", "oddness", "--side", "sp"),
+        ("check", "special-cases", "--m", "4"),
+        ("check", "funceq", "--nmax", "5"),
+        ("check", "roundtrip", "--order", "5"),
+        ("check", "mod4", "--m", "3"),
+        ("check", "ob-parity", "--m", "3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"does not take {argv[2]}" in err, argv
+    # the base-two families accept their own modulus
+    code, out, _ = run(capsys, "check", "mod4", "--m", "2", "--nmax", "3")
+    assert code == 0 and out == "PASS mod4 checked=4\n"
+    code, out, _ = run(capsys, "check", "ob-parity", "--m", "2", "--nmax", "11")
+    assert code == 0 and out == "PASS ob-parity checked=6\n"
+
+
 def test_bound_errors_exit_3(capsys):
     code, _, err = run(capsys, "enum", "101", "2")
     assert code == 3 and "bound" in err
@@ -207,11 +227,11 @@ def test_bound_errors_exit_3(capsys):
 def test_roundtrip_limit(capsys, monkeypatch):
     import semipell.cli as cli_mod
 
-    def refuse(n, m):
-        raise AssertionError(f"roundtrip_check({n}, {m}) ran before the bound check")
+    def refuse(report, n, m):
+        raise AssertionError(f"weight {n} at m={m} ran before the bound check")
 
     # refused before any weight is generated
-    monkeypatch.setattr(cli_mod, "roundtrip_check", refuse)
+    monkeypatch.setattr(cli_mod, "_record_roundtrip", refuse)
     code, out, err = run(capsys, "check", "roundtrip", "--nmax", str(ENUMERATION_LIMIT + 1))
     assert code == 3 and out == "" and "bound" in err
     monkeypatch.undo()

@@ -1,7 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semipell.congruence as congruence
+import semipell.recurrence as recurrence
+import semipell.series as series
 from semipell.congruence import (
+    OB_PARITY_LIMIT,
     check_mod3,
     check_mod4_base,
     check_mod4_general,
@@ -11,7 +15,15 @@ from semipell.congruence import (
     check_special_cases,
     count_two_size_odd_partitions,
 )
-from semipell.recurrence import sp
+from semipell.core import SearchBoundExceeded
+from semipell.recurrence import (
+    RANGE_LIMIT,
+    check_plateau_identity,
+    check_scaling_identity,
+    sp,
+    sp_table,
+)
+from semipell.series import ORDER_LIMIT, functional_equation_residual
 
 
 def test_oddness_sweep():
@@ -158,3 +170,43 @@ def test_reports_carry_counts_and_violations_shape():
 @settings(max_examples=60)
 def test_counts_are_odd_everywhere_sampled(n, m):
     assert sp(n, m) % 2 == 1
+
+
+class Reached(Exception):
+    """The patched work function was called with these arguments."""
+
+
+def test_sweeps_refuse_their_bound_before_any_work(monkeypatch):
+    def reached(*args):
+        raise Reached(args)
+
+    # the dense range, the parity counter and the series are the work
+    # each sweep would start; none of them may run past a bound
+    monkeypatch.setattr(recurrence, "_sp_range", reached)
+    monkeypatch.setattr(congruence, "_sp_range", reached)
+    monkeypatch.setattr(congruence, "count_two_size_odd_partitions", reached)
+    monkeypatch.setattr(series, "qm_series", reached)
+    top = RANGE_LIMIT
+    # function, arguments just past its bound, arguments at or just within it
+    cases = [
+        (check_oddness, (top + 1, 2), (top, 2)),
+        (check_mod4_base, (top // 2,), ((top - 1) // 2,)),
+        (check_mod4_general, (top, 0), (top - 1, 0)),
+        (check_mod3, (4, (top - 7) // 16 + 1), (4, (top - 7) // 16)),
+        (check_partial_sum_mod3, (4, (top - 1) // 4 + 1), (4, (top - 1) // 4)),
+        (check_special_cases, ((top - 11) // 100 + 1,), ((top - 11) // 100,)),
+        (check_plateau_identity, ((top - 1) // 2 + 1, 2), ((top - 1) // 2, 2)),
+        (check_scaling_identity, (2, 0, (top - 1) // 2 + 1), (2, 0, (top - 1) // 2)),
+        # m = 10, v_max = 0: the largest scaled weight is 10^j_max * 9
+        (check_scaling_identity, (10, 50, 0), (10, 49, 0)),
+        (check_scaling_identity, (2, 10**12, 2), (2, 0, 2)),
+        (sp_table, (top, [2]), (top - 1, [2])),
+        (sp_table, (0, range(2, top + 3)), (0, range(2, top + 2))),
+        (check_ob_parity, (OB_PARITY_LIMIT + 1,), (OB_PARITY_LIMIT,)),
+        (functional_equation_residual, (2, ORDER_LIMIT + 1), (2, ORDER_LIMIT)),
+    ]
+    for fn, past, within in cases:
+        with pytest.raises(SearchBoundExceeded, match="bound"):
+            fn(*past)
+        with pytest.raises(Reached):
+            fn(*within)

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semipell
-from semipell.core import is_semi_m_pell, runform_parts, validate_runform
+from semipell.core import SearchBoundExceeded, is_semi_m_pell, runform_parts, validate_runform
 from semipell.enumeration import (
     ENUMERATION_LIMIT,
-    SearchBoundExceeded,
     enumerate_oc,
     enumerate_sp,
     oracle_agreement,
