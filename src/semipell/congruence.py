@@ -4,8 +4,9 @@ Every checker replays one family of congruences over a dense range of
 counts from the recurrence (the two-size parity family over its own
 partition counter) and returns a CongruenceReport; nothing here is
 proved, only verified instance by instance.  Oddness, both mod 4
-families, mod 3 and the special cases are rows (stride, offset,
-modulus, residue) read by one progression sweep over one dense range.
+families, mod 3, the partial sums and the special cases are rows
+(stride, offset, modulus, residue) read by one progression sweep over
+one dense range, or for the partial sums over its running sums.
 Each sweep refuses its own input bound before it allocates or counts
 anything: a top weight past recurrence.RANGE_LIMIT, or for the parity
 family an n past OB_PARITY_LIMIT.
@@ -29,7 +30,8 @@ family an n past OB_PARITY_LIMIT.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from itertools import accumulate
+from typing import Iterable, List, Sequence, Tuple
 
 from .core import check_bound, check_modulus, check_nonneg
 from .recurrence import RANGE_LIMIT, _sp_range
@@ -42,17 +44,20 @@ OB_PARITY_LIMIT = 10**4
 Row = Tuple[str, int, int, int, int]
 
 
-def _sweep(report: CongruenceReport, m: int, top: int, rows: Iterable[Row]) -> CongruenceReport:
-    """Record sp(n, m) mod modulus == residue for n = offset, offset + stride, ... <= top.
-
-    One dense range sp(0..top, m) serves every row; a top weight past
-    RANGE_LIMIT is refused before it is allocated.
-    """
+def _counts(report: CongruenceReport, m: int, top: int) -> List[int]:
+    """sp(0, m), ..., sp(top, m), refusing a top weight past RANGE_LIMIT first."""
     check_bound(top, RANGE_LIMIT, f"{report.family} top weight")
-    counts = _sp_range(top, m)
+    return _sp_range(top, m)
+
+
+def _sweep(report: CongruenceReport, values: Sequence[int], rows: Iterable[Row]) -> CongruenceReport:
+    """Record values[n] mod modulus == residue for n = offset, offset + stride, ...
+
+    One list of values, indexed by weight, serves every row.
+    """
     for label, stride, offset, modulus, residue in rows:
-        for n in range(offset, top + 1, stride):
-            report.record(f"{label}n={n}", counts[n] % modulus, residue)
+        for n in range(offset, len(values), stride):
+            report.record(f"{label}n={n}", values[n] % modulus, residue)
     return report
 
 
@@ -61,7 +66,7 @@ def check_oddness(n_max: int, m: int) -> CongruenceReport:
     check_nonneg(n_max, "n_max")
     check_modulus(m)
     report = CongruenceReport("oddness", {"m": m, "n_max": n_max})
-    return _sweep(report, m, n_max, [("", 1, 0, 2, 1)])
+    return _sweep(report, _counts(report, m, n_max), [("", 1, 0, 2, 1)])
 
 
 def _mod4_rows(m: int) -> Tuple[Row, Row]:
@@ -76,7 +81,7 @@ def check_mod4_base(n_max: int) -> CongruenceReport:
     """
     check_nonneg(n_max, "n_max")
     report = CongruenceReport("mod4", {"m": 2, "n_max": n_max})
-    return _sweep(report, 2, 2 * n_max + 1, _mod4_rows(2))
+    return _sweep(report, _counts(report, 2, 2 * n_max + 1), _mod4_rows(2))
 
 
 def check_mod4_general(m: int, j_max: int) -> CongruenceReport:
@@ -84,7 +89,7 @@ def check_mod4_general(m: int, j_max: int) -> CongruenceReport:
     check_modulus(m)
     check_nonneg(j_max, "j_max")
     report = CongruenceReport("mod4-general", {"m": m, "j_max": j_max})
-    return _sweep(report, m, 2 * m * j_max + m + 1, _mod4_rows(m))
+    return _sweep(report, _counts(report, m, 2 * m * j_max + m + 1), _mod4_rows(m))
 
 
 def _check_mod3_modulus(m: int) -> None:
@@ -99,25 +104,16 @@ def check_mod3(m: int, j_max: int) -> CongruenceReport:
     check_nonneg(j_max, "j_max")
     report = CongruenceReport("mod3", {"m": m, "j_max": j_max})
     rows = [("", m * m, m + r, 3, 0) for r in range(1, m)]
-    return _sweep(report, m, m * m * j_max + 2 * m - 1, rows)
+    return _sweep(report, _counts(report, m, m * m * j_max + 2 * m - 1), rows)
 
 
 def check_partial_sum_mod3(m: int, j_max: int) -> CongruenceReport:
     """Partial sums sp(1) + ... + sp(mj + 1) == 1 mod 3, j <= j_max."""
     _check_mod3_modulus(m)
     check_nonneg(j_max, "j_max")
-    top = m * j_max + 1
-    check_bound(top, RANGE_LIMIT, "partial-sum top weight")
     report = CongruenceReport("partial-sum", {"m": m, "j_max": j_max})
-    counts = _sp_range(top, m)
-    total = 0
-    upto = 0
-    for j in range(j_max + 1):
-        while upto < m * j + 1:
-            upto += 1
-            total += counts[upto]
-        report.record(f"j={j}", total % 3, 1)
-    return report
+    counts = _counts(report, m, m * j_max + 1)
+    return _sweep(report, list(accumulate(counts[1:], initial=0)), [("", m, 1, 3, 1)])
 
 
 def count_two_size_odd_partitions(n: int) -> int:
@@ -170,7 +166,7 @@ SPECIAL_CASES = (
 )
 
 
-def check_special_cases(j_max: int = 200) -> CongruenceReport:
+def check_special_cases(j_max: int) -> CongruenceReport:
     """Replay the seven fixed special-case families for 0 <= j <= j_max.
 
     Four are mod 4 statements (moduli 3 and 4) and three are mod 3
@@ -183,5 +179,5 @@ def check_special_cases(j_max: int = 200) -> CongruenceReport:
     check_bound(max(tops), RANGE_LIMIT, "special-cases top weight")
     report = CongruenceReport("special-cases", {"j_max": j_max})
     for (label, m, stride, offset, modulus, expected), top in zip(SPECIAL_CASES, tops):
-        _sweep(report, m, top, [(f"({label}) ", stride, offset, modulus, expected)])
+        _sweep(report, _counts(report, m, top), [(f"({label}) ", stride, offset, modulus, expected)])
     return report

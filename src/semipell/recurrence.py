@@ -56,17 +56,17 @@ def _sp_range(n_max: int, m: int) -> List[int]:
     return counts
 
 
-def _stretched_rows(m: int, c: int, depth: int) -> List[List[int]]:
-    """Row j <= depth lists the integers a_i with C(m t + c, j) = sum_i a_i C(t, i).
+def _stretched_rows(m: int, depth: int) -> List[List[int]]:
+    """Row j <= depth lists the integers a_i with C(m t, j) = sum_i a_i C(t, i).
 
     Entry 0 is the value at t = 0.  Entry i + 1 is entry i of the
-    forward difference C(m t + m + c, j) - C(m t + c, j), which by
-    Vandermonde's identity is sum_{a >= 1} C(m, a) C(m t + c, j - a).
+    forward difference C(m t + m, j) - C(m t, j), which by Vandermonde's
+    identity is sum_{a >= 1} C(m, a) C(m t, j - a).
     """
     choose_m = [comb(m, a) for a in range(min(m, depth) + 1)]
     rows: List[List[int]] = []
     for j in range(depth + 1):
-        row = [comb(c, j)]
+        row = [int(j == 0)]
         for i in range(j):
             row.append(sum(choose_m[a] * rows[j - a][i] for a in range(1, min(m, j - i) + 1)))
         rows.append(row)
@@ -84,8 +84,11 @@ def _prefix_count(q: int, m: int) -> int:
     the terms 0 < r < m give 2 T(t) - 1 by the plateau identity.  Their
     binomial weights C(m t + r, j) summed over 0 < r < m are
     C(m t + m, j + 1) - C(m t + 1, j + 1) (hockey stick), a polynomial of
-    degree j in t, so no level loops over residues.  Rewritten in the
-    basis C(t, i), the sum over t < x of C(t, i) T(t) is
+    degree j in t, so no level loops over residues.  Both terms come from
+    the one table of C(m t, j) in the basis C(t, i): the first is row
+    j + 1 shifted by one in t, the second is rows j + 1 and j added
+    (Pascal), so fill[j][i] = scaled[j + 1][i + 1] - scaled[j][i].
+    Rewritten in the basis C(t, i), the sum over t < x of C(t, i) T(t) is
     C(x, i + 1) P[0] - P[i + 1], and P[j] at x' needs P up to j + 1 at x:
     the degree the top level needs, 0, rises by one per level below it.
     """
@@ -94,11 +97,9 @@ def _prefix_count(q: int, m: int) -> int:
         q, d = divmod(q, m)
         digits.append(d)
     depth = len(digits)
-    scaled = _stretched_rows(m, 0, depth)
-    upper = _stretched_rows(m, m, depth + 1)
-    lower = _stretched_rows(m, 1, depth + 1)
+    scaled = _stretched_rows(m, depth)
     # fill[j]: the residue block sum_{0<r<m} C(m t + r, j), basis C(t, i)
-    fill = [[u - v for u, v in zip(upper[j + 1], lower[j + 1][: j + 1])] for j in range(depth)]
+    fill = [[a - b for a, b in zip(scaled[j + 1][1:], scaled[j])] for j in range(depth)]
     # weight[j][i]: coefficient of P[i] in the full blocks t < x
     weight = [[a - 2 * b for a, b in zip(scaled[j] + [0], [0] + fill[j])] for j in range(depth)]
     x, T = 0, 1

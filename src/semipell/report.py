@@ -7,19 +7,18 @@ never raises on failure; callers decide whether a violation is fatal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 # (instance label, observed value, expected value)
 Violation = Tuple[str, int, int]
 
 
-@dataclass
 class CongruenceReport:
-    family: str
-    params: Dict[str, int]
-    checked: int = 0
-    violations: List[Violation] = field(default_factory=list)
+    def __init__(self, family: str, params: Dict[str, int]) -> None:
+        self.family = family
+        self.params = params
+        self.checked = 0
+        self.violations: List[Violation] = []
 
     @property
     def passed(self) -> bool:

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,6 +344,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "sp(7,2) = 11\n"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every command pays the package import; dataclasses pulls in
+    # inspect, which costs a sizeable share of it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, semipell.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_determinism_across_runs():

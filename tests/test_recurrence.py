@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +152,18 @@ def test_fast_count_matches_dense_recurrence():
     for m in range(2, 11):
         counts = _sp_range(5000, m)
         assert [sp(n, m) for n in range(5001)] == counts, m
+
+
+def test_stretched_rows_expand_scaled_binomials():
+    # the one table behind every point count, checked far deeper than
+    # the dense comparison above reaches (at most 12 base-m digits)
+    for m in range(2, 11):
+        rows = recurrence._stretched_rows(m, 40)
+        assert len(rows) == 41
+        for j, row in enumerate(rows):
+            assert len(row) == j + 1
+            for t in range(46):
+                assert sum(a * comb(t, i) for i, a in enumerate(row)) == comb(m * t, j), (m, j, t)
 
 
 @given(st.integers(10**40 - 10**39, 10**40 + 10**39), st.integers(2, 10**6), st.integers(1, 3))
