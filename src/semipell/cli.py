@@ -185,8 +185,8 @@ def _roundtrip_report(m: int, n_max: int) -> CongruenceReport:
 
 def _funceq_report(m: int, order: int) -> CongruenceReport:
     report = CongruenceReport("funceq", {"m": m, "order": order})
-    for n, coefficient in enumerate(functional_equation_residual(m, order)):
-        report.record(f"n={n}", coefficient, 0)
+    residual = functional_equation_residual(m, order)
+    report.record_all(residual, [0] * len(residual), "n={}".format)
     return report
 
 

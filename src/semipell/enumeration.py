@@ -277,11 +277,13 @@ def oracle_agreement(m: int, n_max: int, side: str = "both") -> CongruenceReport
     if side in ("oc", "both"):
         check_bound(n_max, OC_ORACLE_LIMIT, "oracle_oc weight")
     report = CongruenceReport("oracle", {"m": m, "n_max": n_max})
-    for n in range(n_max + 1):
-        if side in ("sp", "both"):
-            diff = set(enumerate_sp(n, m)) ^ set(oracle_sp(n, m))
-            report.record(f"sp:n={n}", len(diff), 0)
-        if side in ("oc", "both"):
-            diff = set(enumerate_oc(n, m)) ^ set(oracle_oc(n, m))
-            report.record(f"oc:n={n}", len(diff), 0)
+    pairs = {"sp": (enumerate_sp, oracle_sp), "oc": (enumerate_oc, oracle_oc)}
+    sides = ("sp", "oc") if side == "both" else (side,)
+    diffs = [
+        len(set(generate(n, m)) ^ set(oracle(n, m)))
+        for n in range(n_max + 1)
+        for generate, oracle in (pairs[s] for s in sides)
+    ]
+    k = len(sides)
+    report.record_all(diffs, [0] * len(diffs), lambda i: f"{sides[i % k]}:n={i // k}")
     return report

@@ -29,6 +29,7 @@ evaluation.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from operator import mul
 from typing import List, Sequence
@@ -163,12 +164,15 @@ def check_plateau_identity(v_max: int, m: int) -> CongruenceReport:
     check_bound(top, RANGE_LIMIT, "plateau top weight")
     report = CongruenceReport("plateau", {"m": m, "v_max": v_max})
     counts = _sp_range(top, m)
-    prefix = 0
-    for n in range(v_max + 1):
-        expected = 1 + 2 * prefix
-        for r in range(1, m):
-            report.record(f"n={n},r={r}", counts[n * m + r], expected)
-        prefix += counts[n + 1]
+    # the windows back to back: every weight 1 .. top not divisible by m
+    windows = counts[1:]
+    del windows[m - 1 :: m]
+    # 1 + 2 (sp(1) + ... + sp(n)) for n <= v_max, repeated across window n
+    expected = [0] * len(windows)
+    plateaus = list(accumulate((2 * c for c in counts[1 : v_max + 1]), initial=1))
+    for r in range(m - 1):
+        expected[r :: m - 1] = plateaus
+    report.record_all(windows, expected, lambda i: f"n={i // (m - 1)},r={i % (m - 1) + 1}")
     return report
 
 
@@ -197,12 +201,14 @@ def check_scaling_identity(m: int, j_max: int, v_max: int) -> CongruenceReport:
     check_bound(j_max, j_limit, "scaling j_max")
     report = CongruenceReport("scaling", {"m": m, "j_max": j_max, "v_max": v_max})
     counts = _sp_range(top, m)
+    weights = [h for h in range(1, top + 1) if h % m]
+    unscaled = [counts[h] for h in weights]
+    plateau = [(v, r) for v in range(min(v_max, m) + 1) for r in range(1, m)]
+    plateau_counts = [2 * v + 1 for v, _ in plateau]
     for j in range(j_max + 1):
         scale = m**j
-        for h in range(1, top + 1):
-            if h % m:
-                report.record(f"j={j},h={h}", sp(scale * h, m), counts[h])
-        for v in range(min(v_max, m) + 1):
-            for r in range(1, m):
-                report.record(f"j={j},v={v},r={r}", sp(scale * (m * v + r), m), 2 * v + 1)
+        scaled = [sp(scale * h, m) for h in weights]
+        report.record_all(scaled, unscaled, lambda i: f"j={j},h={weights[i]}")
+        scaled = [sp(scale * (m * v + r), m) for v, r in plateau]
+        report.record_all(scaled, plateau_counts, lambda i: f"j={j},v={plateau[i][0]},r={plateau[i][1]}")
     return report

@@ -7,7 +7,7 @@ never raises on failure; callers decide whether a violation is fatal.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 # (instance label, observed value, expected value)
 Violation = Tuple[str, int, int]
@@ -29,6 +29,20 @@ class CongruenceReport:
         self.checked += 1
         if observed != expected:
             self.violations.append((label, observed, expected))
+
+    def record_all(self, observed: Sequence[int], expected: Sequence[int], label: Callable[[int], str]) -> None:
+        """Count every instance of a batch: observed[i] against expected[i].
+
+        The batch is compared in one pass; label(i) names instance i and is
+        called only for a violation, which keeps the order of the batch.
+        """
+        if len(observed) != len(expected):
+            raise ValueError(f"batch of {len(observed)} observed against {len(expected)} expected")
+        self.checked += len(observed)
+        if observed != expected:
+            self.violations += [
+                (label(i), seen, want) for i, (seen, want) in enumerate(zip(observed, expected)) if seen != want
+            ]
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"

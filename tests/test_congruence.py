@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semipell.cli as cli
 import semipell.congruence as congruence
+import semipell.enumeration as enumeration
 import semipell.recurrence as recurrence
 import semipell.series as series
 from semipell.congruence import (
@@ -16,6 +18,7 @@ from semipell.congruence import (
     count_two_size_odd_partitions,
 )
 from semipell.core import SearchBoundExceeded
+from semipell.enumeration import oracle_agreement
 from semipell.recurrence import (
     RANGE_LIMIT,
     check_plateau_identity,
@@ -130,6 +133,32 @@ def test_two_size_counter_against_exhaustive_partitions():
         assert count_two_size_odd_partitions(n) == brute(n)
 
 
+def test_two_size_counter_against_per_multiplicity_search():
+    """The per-pair count agrees with a search over every odd multiplicity."""
+
+    def search(n):
+        powers = []
+        p = 1
+        while p <= n:
+            powers.append(p)
+            p *= 2
+        count = 0
+        for bi in range(1, len(powers)):
+            big = powers[bi]
+            for ai in range(bi):
+                small = powers[ai]
+                v = 1
+                while v * big + small <= n:
+                    remainder = n - v * big
+                    if remainder % small == 0 and (remainder // small) % 2 == 1:
+                        count += 1
+                    v += 2
+        return count
+
+    for n in range(1, 4001):
+        assert count_two_size_odd_partitions(n) == search(n), n
+
+
 def test_ob_parity_sweep():
     report = check_ob_parity(301)
     assert report.passed
@@ -210,3 +239,131 @@ def test_sweeps_refuse_their_bound_before_any_work(monkeypatch):
             fn(*past)
         with pytest.raises(Reached):
             fn(*within)
+
+
+def _corrupt(fn, weights):
+    def corrupted(*args):
+        values = fn(*args)
+        for w in weights:
+            if w < len(values):
+                values[w] += 1
+        return values
+
+    return corrupted
+
+
+# sweep, arguments, weights whose count (partition count, residual
+# coefficient, oracle member) is corrupted, the report's lines.  The lines
+# are those of a sweep that records one labelled instance at a time.
+FAULTS = [
+    (check_oddness, (40, 3), {0, 17, 39, 40}, [
+        "FAIL oddness checked=41",
+        "  violation n=0: observed=0 expected=1",
+        "  violation n=17: observed=0 expected=1",
+        "  violation n=39: observed=0 expected=1",
+        "  violation n=40: observed=0 expected=1",
+    ]),
+    (check_mod4_base, (30,), {1, 3, 30, 57, 59, 61}, [
+        "FAIL mod4 checked=31",
+        "  violation n=1: observed=2 expected=1",
+        "  violation n=57: observed=2 expected=1",
+        "  violation n=61: observed=2 expected=1",
+        "  violation n=3: observed=0 expected=3",
+        "  violation n=59: observed=0 expected=3",
+    ]),
+    (check_mod4_general, (5, 6), {1, 6, 7, 51, 56, 61, 66}, [
+        "FAIL mod4-general checked=14",
+        "  violation n=1: observed=2 expected=1",
+        "  violation n=51: observed=2 expected=1",
+        "  violation n=61: observed=2 expected=1",
+        "  violation n=6: observed=0 expected=3",
+        "  violation n=56: observed=0 expected=3",
+        "  violation n=66: observed=0 expected=3",
+    ]),
+    (check_mod3, (7, 3), {8, 60, 154, 155, 160}, [
+        "FAIL mod3 checked=24",
+        "  violation n=8: observed=1 expected=0",
+        "  violation n=155: observed=1 expected=0",
+        "  violation n=60: observed=1 expected=0",
+        "  violation n=160: observed=1 expected=0",
+    ]),
+    (check_partial_sum_mod3, (4, 10), {33, 41}, [
+        "FAIL partial-sum checked=11",
+        "  violation n=33: observed=2 expected=1",
+        "  violation n=37: observed=2 expected=1",
+        "  violation n=41: observed=0 expected=1",
+    ]),
+    (check_special_cases, (3,), {1, 19, 155, 311}, [
+        "FAIL special-cases checked=28",
+        "  violation (1a) n=1: observed=2 expected=1",
+        "  violation (1a) n=19: observed=2 expected=1",
+        "  violation (2a) n=1: observed=2 expected=1",
+        "  violation (2) n=155: observed=1 expected=0",
+        "  violation (3) n=311: observed=1 expected=0",
+    ]),
+    (check_plateau_identity, (20, 3), {22, 40, 44, 45, 62}, [
+        "FAIL plateau checked=42",
+        "  violation n=7,r=1: observed=32 expected=31",
+        "  violation n=13,r=1: observed=104 expected=103",
+        "  violation n=14,r=2: observed=130 expected=129",
+        "  violation n=20,r=2: observed=298 expected=297",
+    ]),
+    (check_scaling_identity, (3, 1, 5), {2, 17}, [
+        "FAIL scaling checked=40",
+        "  violation j=0,h=2: observed=1 expected=2",
+        "  violation j=0,h=17: observed=19 expected=20",
+        "  violation j=1,h=2: observed=1 expected=2",
+        "  violation j=1,h=17: observed=19 expected=20",
+    ]),
+    (check_ob_parity, (41,), {1, 19, 41}, [
+        "FAIL ob-parity checked=21",
+        "  violation n=1: observed=1 expected=0",
+        "  violation n=19: observed=0 expected=1",
+        "  violation n=41: observed=1 expected=0",
+    ]),
+    (cli._funceq_report, (3, 40), {0, 17, 40}, [
+        "FAIL funceq checked=41",
+        "  violation n=0: observed=1 expected=0",
+        "  violation n=17: observed=1 expected=0",
+        "  violation n=40: observed=1 expected=0",
+    ]),
+    (oracle_agreement, (2, 5), {2, 5}, [
+        "FAIL oracle checked=12",
+        "  violation oc:n=2: observed=1 expected=0",
+        "  violation oc:n=5: observed=1 expected=0",
+    ]),
+]
+
+
+@pytest.mark.parametrize("sweep, args, weights, lines", FAULTS, ids=[f[3][0].split()[1] for f in FAULTS])
+def test_violations_keep_their_labels_and_order(monkeypatch, sweep, args, weights, lines):
+    monkeypatch.setattr(recurrence, "_sp_range", _corrupt(recurrence._sp_range, weights))
+    monkeypatch.setattr(congruence, "_sp_range", _corrupt(congruence._sp_range, weights))
+    counter = congruence.count_two_size_odd_partitions
+    monkeypatch.setattr(congruence, "count_two_size_odd_partitions", lambda n: counter(n) + (n in weights))
+    monkeypatch.setattr(cli, "functional_equation_residual", _corrupt(cli.functional_equation_residual, weights))
+    oracle = enumeration.oracle_oc
+    monkeypatch.setattr(enumeration, "oracle_oc", lambda n, m: oracle(n, m)[n in weights:])
+    report = sweep(*args)
+    assert report.lines() == lines
+    assert report.checked == int(lines[0].rsplit("=", 1)[1])
+
+
+def test_record_all_counts_a_batch_and_labels_only_violations():
+    report = check_oddness(3, 2)
+    labelled = []
+
+    def label(i):
+        labelled.append(i)
+        return f"i={i}"
+
+    report.record_all([1, 2, 3], [1, 2, 3], label)
+    assert report.passed and report.checked == 7 and labelled == []
+    report.record_all([1, 0, 3, 0], [1, 2, 3, 4], label)
+    assert report.checked == 11 and labelled == [1, 3]
+    assert report.lines()[1:] == [
+        "  violation i=1: observed=0 expected=2",
+        "  violation i=3: observed=0 expected=4",
+    ]
+    with pytest.raises(ValueError):
+        report.record_all([1], [1, 1], label)
