@@ -58,7 +58,7 @@ def roundtrip_check(n: int, m: int) -> CongruenceReport:
 
 
 def _record_roundtrip(report: CongruenceReport, n: int, m: int) -> None:
-    """Record roundtrip_check's three facts for weight n into report.
+    """Record roundtrip_check's three facts for weight n into report, as one batch.
 
     Each map runs once per object: to_oc on every composition, from_oc
     on every image.  The second fact reads both maps back for a run form
@@ -68,11 +68,10 @@ def _record_roundtrip(report: CongruenceReport, n: int, m: int) -> None:
     runforms = enumerate_oc(n, m)
     images = [to_oc(c, m) for c in compositions]
     preimages = [from_oc(rf, m) for rf in images]
-    bad = sum(1 for c, back in zip(compositions, preimages) if back != c)
-    report.record(f"n={n}:from_oc(to_oc)", bad, 0)
+    bad_back = sum(1 for c, back in zip(compositions, preimages) if back != c)
     to_map = dict(zip(compositions, images))
     from_map = dict(zip(images, preimages))
-    bad = 0
+    bad_forth = 0
     for rf in runforms:
         c = from_map.get(rf)
         if c is None:
@@ -80,6 +79,6 @@ def _record_roundtrip(report: CongruenceReport, n: int, m: int) -> None:
         image = to_map.get(c)
         if image is None:
             image = to_oc(c, m)
-        bad += image != rf
-    report.record(f"n={n}:to_oc(from_oc)", bad, 0)
-    report.record(f"n={n}:image", len(set(images) ^ set(runforms)), 0)
+        bad_forth += image != rf
+    observed = [bad_back, bad_forth, len(set(images) ^ set(runforms))]
+    report.record_all(observed, [0, 0, 0], lambda i: f"n={n}:" + ("from_oc(to_oc)", "to_oc(from_oc)", "image")[i])

@@ -2,8 +2,9 @@
 
 Every checker replays one family of congruences over a dense range of
 counts from the recurrence (the two-size parity family over its own
-partition counter) and returns a CongruenceReport; nothing here is
-proved, only verified instance by instance.  Oddness, both mod 4
+partition counter) and returns a CongruenceReport, recording each row
+as one batch through record_all, its only recording method; nothing
+here is proved, only verified instance by instance.  Oddness, both mod 4
 families, mod 3, the partial sums and the special cases are rows
 (stride, offset, modulus, residue) read by one progression sweep over
 one dense range, or for the partial sums over its running sums.
@@ -25,7 +26,8 @@ family an n past OB_PARITY_LIMIT.
     when n = 3 (mod 4).  The counter is an independent count over the
     size pairs.
   * special cases: seven fixed-modulus instances of the mod 4 and
-    mod 3 families, replayed together.
+    mod 3 families, replayed together from one dense range per modulus
+    (3, 4, 7 and 10).
 """
 
 from __future__ import annotations
@@ -151,15 +153,12 @@ def check_ob_parity(n_max: int) -> CongruenceReport:
     return report
 
 
-# label, modulus, stride, offset, residue modulus, expected residue
+# modulus, then its rows: label, stride, offset, residue modulus, expected residue
 SPECIAL_CASES = (
-    ("1a", 3, 6, 1, 4, 1),
-    ("1b", 3, 6, 4, 4, 3),
-    ("2a", 4, 8, 1, 4, 1),
-    ("2b", 4, 8, 5, 4, 3),
-    ("1", 4, 16, 5, 3, 0),
-    ("2", 7, 49, 8, 3, 0),
-    ("3", 10, 100, 11, 3, 0),
+    (3, (("1a", 6, 1, 4, 1), ("1b", 6, 4, 4, 3))),
+    (4, (("2a", 8, 1, 4, 1), ("2b", 8, 5, 4, 3), ("1", 16, 5, 3, 0))),
+    (7, (("2", 49, 8, 3, 0),)),
+    (10, (("3", 100, 11, 3, 0),)),
 )
 
 
@@ -168,13 +167,17 @@ def check_special_cases(j_max: int) -> CongruenceReport:
 
     Four are mod 4 statements (moduli 3 and 4) and three are mod 3
     statements (moduli 4, 7 and 10); each is the specialisation of a
-    general family to one stride and offset.
+    general family to one stride and offset.  Each modulus gets one
+    dense range up to the largest top weight of its rows, and each row
+    stops at its own top, stride * j_max + offset.
     """
     check_nonneg(j_max, "j_max")
-    tops = [stride * j_max + offset for _, _, stride, offset, _, _ in SPECIAL_CASES]
+    tops = [[stride * j_max + offset for _, stride, offset, _, _ in rows] for _, rows in SPECIAL_CASES]
     # refuse the largest range before building any
-    check_bound(max(tops), RANGE_LIMIT, "special-cases top weight")
+    check_bound(max(map(max, tops)), RANGE_LIMIT, "special-cases top weight")
     report = CongruenceReport("special-cases", {"j_max": j_max})
-    for (label, m, stride, offset, modulus, expected), top in zip(SPECIAL_CASES, tops):
-        _sweep(report, _counts(report, m, top), [(f"({label}) ", stride, offset, modulus, expected)])
+    for (m, rows), row_tops in zip(SPECIAL_CASES, tops):
+        counts = _counts(report, m, max(row_tops))
+        for (label, *row), top in zip(rows, row_tops):
+            _sweep(report, counts[: top + 1], [(f"({label}) ", *row)])
     return report

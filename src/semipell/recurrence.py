@@ -186,9 +186,10 @@ def check_scaling_identity(m: int, j_max: int, v_max: int) -> CongruenceReport:
     plateau the value is explicit: sp(m^j * (m*v + r), m) = 2v + 1 for
     0 <= v <= min(v_max, m) and 1 <= r < m, which covers the count-one
     weights m^j * h with 1 <= h < m as the v = 0 case.  The scaled
-    weights go through sp; the unscaled counts come from the dense
-    recurrence.  The largest scaled weight, m^j_max * (m * v_max + m - 1),
-    must stay within COUNT_LIMIT.
+    weights go through sp once per j; the plateau weights lead the
+    admissible ones, so both statements read the same row.  The unscaled
+    counts come from the dense recurrence.  The largest scaled weight,
+    m^j_max * (m * v_max + m - 1), must stay within COUNT_LIMIT.
     """
     check_nonneg(j_max, "weight")
     check_nonneg(v_max, "weight")
@@ -203,12 +204,11 @@ def check_scaling_identity(m: int, j_max: int, v_max: int) -> CongruenceReport:
     counts = _sp_range(top, m)
     weights = [h for h in range(1, top + 1) if h % m]
     unscaled = [counts[h] for h in weights]
-    plateau = [(v, r) for v in range(min(v_max, m) + 1) for r in range(1, m)]
-    plateau_counts = [2 * v + 1 for v, _ in plateau]
+    # weight i < (min(v_max, m) + 1)(m - 1) is m v + r, v = i // (m - 1)
+    plateau = [2 * (i // (m - 1)) + 1 for i in range((min(v_max, m) + 1) * (m - 1))]
     for j in range(j_max + 1):
         scale = m**j
         scaled = [sp(scale * h, m) for h in weights]
         report.record_all(scaled, unscaled, lambda i: f"j={j},h={weights[i]}")
-        scaled = [sp(scale * (m * v + r), m) for v, r in plateau]
-        report.record_all(scaled, plateau_counts, lambda i: f"j={j},v={plateau[i][0]},r={plateau[i][1]}")
+        report.record_all(scaled[: len(plateau)], plateau, lambda i: f"j={j},v={i // (m - 1)},r={i % (m - 1) + 1}")
     return report

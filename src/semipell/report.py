@@ -24,12 +24,6 @@ class CongruenceReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def record(self, label: str, observed: int, expected: int) -> None:
-        """Count one instance, remembering it if observed != expected."""
-        self.checked += 1
-        if observed != expected:
-            self.violations.append((label, observed, expected))
-
     def record_all(self, observed: Sequence[int], expected: Sequence[int], label: Callable[[int], str]) -> None:
         """Count every instance of a batch: observed[i] against expected[i].
 

@@ -326,7 +326,7 @@ def test_check_failure_exits_1(capsys, monkeypatch):
 
     def broken(n_max, m):
         report = CongruenceReport("oddness", {"m": m, "n_max": n_max})
-        report.record("n=0", 0, 1)
+        report.record_all([0], [1], lambda i: "n=0")
         return report
 
     monkeypatch.setattr(cli_mod, "check_oddness", broken)

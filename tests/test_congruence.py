@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semipell.bijection as bijection
 import semipell.cli as cli
 import semipell.congruence as congruence
 import semipell.enumeration as enumeration
@@ -173,6 +174,21 @@ def test_special_cases_sweep():
     assert labels == set()
 
 
+def test_special_cases_build_one_range_per_modulus(monkeypatch):
+    built = []
+
+    def recorded(n_max, m):
+        built.append((m, n_max))
+        return dense(n_max, m)
+
+    dense = congruence._sp_range
+    monkeypatch.setattr(congruence, "_sp_range", recorded)
+    for j in (0, 1, 7, 60):
+        built.clear()
+        assert check_special_cases(j).checked == 7 * (j + 1)
+        assert built == [(3, 6 * j + 4), (4, 16 * j + 5), (7, 49 * j + 8), (10, 100 * j + 11)]
+
+
 def test_special_cases_smallest_instances():
     # j = 0 row of each family
     assert sp(1, 3) % 4 == 1
@@ -189,7 +205,7 @@ def test_reports_carry_counts_and_violations_shape():
     assert report.summary() == "PASS oddness checked=11"
     assert report.lines() == ["PASS oddness checked=11"]
     # a fabricated violation renders with observed and expected
-    report.record("n=99", 0, 1)
+    report.record_all([0], [1], lambda i: "n=99")
     assert not report.passed
     assert report.summary().startswith("FAIL oddness")
     assert report.lines()[-1] == "  violation n=99: observed=0 expected=1"
@@ -203,6 +219,27 @@ def test_counts_are_odd_everywhere_sampled(n, m):
 
 class Reached(Exception):
     """The patched work function was called with these arguments."""
+
+
+def test_scaling_sweep_evaluates_each_scaled_weight_once(monkeypatch):
+    calls = []
+
+    def counted(n, m):
+        calls.append(n)
+        return count(n, m)
+
+    count = recurrence.sp
+    monkeypatch.setattr(recurrence, "sp", counted)
+    j_max = 3
+    for m in (2, 3, 5):
+        for v_max in (0, m - 1, m, 2 * m + 1):
+            calls.clear()
+            report = check_scaling_identity(m, j_max, v_max)
+            admissible = (v_max + 1) * (m - 1)
+            assert report.passed
+            assert report.checked == (j_max + 1) * (admissible + (min(v_max, m) + 1) * (m - 1))
+            assert len(calls) == (j_max + 1) * admissible
+            assert len(set(calls)) == len(calls)
 
 
 def test_sweeps_refuse_their_bound_before_any_work(monkeypatch):
@@ -253,8 +290,9 @@ def _corrupt(fn, weights):
 
 
 # sweep, arguments, weights whose count (partition count, residual
-# coefficient, oracle member) is corrupted, the report's lines.  The lines
-# are those of a sweep that records one labelled instance at a time.
+# coefficient, oracle member, scaled count, one-part composition's image)
+# is corrupted, the report's lines.  The lines are those of a sweep that
+# records one labelled instance at a time.
 FAULTS = [
     (check_oddness, (40, 3), {0, 17, 39, 40}, [
         "FAIL oddness checked=41",
@@ -315,6 +353,16 @@ FAULTS = [
         "  violation j=1,h=2: observed=1 expected=2",
         "  violation j=1,h=17: observed=19 expected=20",
     ]),
+    # sp itself is off at three scaled weights: 3 * 4 and 9 * 2 are
+    # plateau weights (v = 1, r = 1 and v = 0, r = 2), 9 * 13 is not
+    (check_scaling_identity, (3, 2, 4), {12, 18, 117}, [
+        "FAIL scaling checked=54",
+        "  violation j=1,h=4: observed=4 expected=3",
+        "  violation j=1,v=1,r=1: observed=4 expected=3",
+        "  violation j=2,h=2: observed=2 expected=1",
+        "  violation j=2,h=13: observed=14 expected=13",
+        "  violation j=2,v=0,r=2: observed=2 expected=1",
+    ]),
     (check_ob_parity, (41,), {1, 19, 41}, [
         "FAIL ob-parity checked=21",
         "  violation n=1: observed=1 expected=0",
@@ -332,10 +380,25 @@ FAULTS = [
         "  violation oc:n=2: observed=1 expected=0",
         "  violation oc:n=5: observed=1 expected=0",
     ]),
+    (cli._roundtrip_report, (2, 6), {3, 6}, [
+        "FAIL roundtrip checked=21",
+        "  violation n=3:from_oc(to_oc): observed=1 expected=0",
+        "  violation n=3:to_oc(from_oc): observed=1 expected=0",
+        "  violation n=3:image: observed=1 expected=0",
+        "  violation n=6:from_oc(to_oc): observed=1 expected=0",
+        "  violation n=6:to_oc(from_oc): observed=1 expected=0",
+        "  violation n=6:image: observed=1 expected=0",
+    ]),
 ]
 
 
-@pytest.mark.parametrize("sweep, args, weights, lines", FAULTS, ids=[f[3][0].split()[1] for f in FAULTS])
+def _fault_ids(faults):
+    """Each case's family, numbered from the second case of a family on."""
+    families = [lines[0].split()[1] for _, _, _, lines in faults]
+    return [f if families.index(f) == i else f"{f}-{families[:i].count(f) + 1}" for i, f in enumerate(families)]
+
+
+@pytest.mark.parametrize("sweep, args, weights, lines", FAULTS, ids=_fault_ids(FAULTS))
 def test_violations_keep_their_labels_and_order(monkeypatch, sweep, args, weights, lines):
     monkeypatch.setattr(recurrence, "_sp_range", _corrupt(recurrence._sp_range, weights))
     monkeypatch.setattr(congruence, "_sp_range", _corrupt(congruence._sp_range, weights))
@@ -344,6 +407,20 @@ def test_violations_keep_their_labels_and_order(monkeypatch, sweep, args, weight
     monkeypatch.setattr(cli, "functional_equation_residual", _corrupt(cli.functional_equation_residual, weights))
     oracle = enumeration.oracle_oc
     monkeypatch.setattr(enumeration, "oracle_oc", lambda n, m: oracle(n, m)[n in weights:])
+    # sp only at multiples of m, the weights scaled by m^j with j >= 1:
+    # an unscaled weight is read from the dense range too, and corrupting
+    # both would hide that range's faults
+    count = recurrence.sp
+    monkeypatch.setattr(recurrence, "sp", lambda n, m: count(n, m) + (n in weights and n % m == 0))
+    image = bijection.to_oc
+
+    def misplaced(c, m):
+        # the one-part composition of a chosen weight takes the first member's image
+        if len(c) == 1 and c[0] in weights:
+            c = enumeration.enumerate_sp(c[0], m)[0]
+        return image(c, m)
+
+    monkeypatch.setattr(bijection, "to_oc", misplaced)
     report = sweep(*args)
     assert report.lines() == lines
     assert report.checked == int(lines[0].rsplit("=", 1)[1])
