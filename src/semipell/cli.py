@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .bijection import _record_roundtrip, from_oc, to_oc
 from .congruence import (
@@ -91,24 +91,19 @@ def parse_runform(text: str) -> Tuple[Tuple[int, int], ...]:
     return tuple(runs)
 
 
-def _nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than low."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
 
-def _modulus(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError("modulus must be at least 2")
-    return value
+    return parse
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -144,19 +139,16 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 def cmd_map(args: argparse.Namespace) -> int:
     if args.direction == "to-oc":
-        composition = parse_composition(args.parts)
-        try:
-            print(format_runform(to_oc(composition, args.m)))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
+        parse, apply, show = parse_composition, to_oc, format_runform
     else:
-        runform = parse_runform(args.parts)
-        try:
-            print(format_composition(from_oc(runform, args.m)))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
+        parse, apply, show = parse_runform, from_oc, format_composition
+    value = parse(args.parts)
+    try:
+        image = apply(value, args.m)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    print(show(image))
     return 0
 
 
@@ -235,41 +227,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="print sp(n, m)")
-    p.add_argument("n", type=_nonneg)
-    p.add_argument("m", type=_modulus)
+    p.add_argument("n", type=_at_least(0))
+    p.add_argument("m", type=_at_least(2))
     p.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("table", help="tab-separated counts, rows per modulus")
-    p.add_argument("n_max", type=_nonneg)
-    p.add_argument("m_min", type=_modulus)
-    p.add_argument("m_max", type=_modulus)
+    p.add_argument("n_max", type=_at_least(0))
+    p.add_argument("m_min", type=_at_least(2))
+    p.add_argument("m_max", type=_at_least(2))
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("enum", help="list all objects of one weight")
-    p.add_argument("n", type=_nonneg)
-    p.add_argument("m", type=_modulus)
+    p.add_argument("n", type=_at_least(0))
+    p.add_argument("m", type=_at_least(2))
     p.add_argument("--side", choices=("sp", "oc"), default="sp")
     p.set_defaults(func=cmd_enum)
 
     p = sub.add_parser("map", help="apply the bijection to one object")
     p.add_argument("parts", help="comma-separated parts, or runs like 1^3,2 with from-oc")
-    p.add_argument("m", type=_modulus)
+    p.add_argument("m", type=_at_least(2))
     p.add_argument("--direction", choices=("to-oc", "from-oc"), default="to-oc")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("series", help="coefficients of the counting series")
-    p.add_argument("m", type=_modulus)
-    p.add_argument("order", type=_nonneg)
+    p.add_argument("m", type=_at_least(2))
+    p.add_argument("order", type=_at_least(0))
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("check", help="run one verification sweep")
     p.add_argument("family", choices=_check_table())
-    p.add_argument("--m", type=_modulus)
-    p.add_argument("--nmax", type=_nonneg)
-    p.add_argument("--jmax", type=_nonneg)
-    p.add_argument("--vmax", type=_nonneg)
-    p.add_argument("--order", type=_nonneg)
+    p.add_argument("--m", type=_at_least(2))
+    p.add_argument("--nmax", type=_at_least(0))
+    p.add_argument("--jmax", type=_at_least(0))
+    p.add_argument("--vmax", type=_at_least(0))
+    p.add_argument("--order", type=_at_least(0))
     p.add_argument("--side", choices=("sp", "oc", "both"),
                    help="which oracle comparison to run (oracle family only)")
     p.set_defaults(func=cmd_check)

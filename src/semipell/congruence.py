@@ -4,10 +4,10 @@ Every checker replays one family of congruences over a dense range of
 counts from the recurrence (the two-size parity family over its own
 partition counter) and returns a CongruenceReport, recording each row
 as one batch through record_all, its only recording method; nothing
-here is proved, only verified instance by instance.  Oddness, both mod 4
-families, mod 3, the partial sums and the special cases are rows
-(stride, offset, modulus, residue) read by one progression sweep over
-one dense range, or for the partial sums over its running sums.
+here is proved, only verified instance by instance.  Each family's rows
+(stride, offset, modulus, residue) are declared once, in _rows, and read
+by one progression sweep over one dense range (for the partial sums, its
+running sums); mod 4 at m = 2 and the special cases reuse those rows.
 Each sweep refuses its own input bound before it allocates or counts
 anything: a top weight past recurrence.RANGE_LIMIT, or for the parity
 family an n past OB_PARITY_LIMIT.
@@ -25,15 +25,15 @@ family an n past OB_PARITY_LIMIT.
     and exactly two distinct sizes is even when n = 1 (mod 4) and odd
     when n = 3 (mod 4).  The counter is an independent count over the
     size pairs.
-  * special cases: seven fixed-modulus instances of the mod 4 and
-    mod 3 families, replayed together from one dense range per modulus
-    (3, 4, 7 and 10).
+  * special cases: seven labelled rows of the mod 4 and mod 3
+    families at fixed moduli, replayed together from one dense range
+    per modulus (3, 4, 7 and 10).
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .core import check_bound, check_modulus, check_nonneg
 from .recurrence import RANGE_LIMIT, _sp_range
@@ -47,78 +47,85 @@ OB_PARITY_LIMIT = 10**4
 Row = Tuple[str, int, int, int, int]
 
 
+def _rows(family: str, m: int) -> List[Row]:
+    """The rows of one family at modulus m: the only place a row is written."""
+    check_modulus(m)
+    if family in ("mod3", "partial-sum") and (m < 4 or m % 3 != 1):
+        raise ValueError(f"modulus must be >= 4 and congruent to 1 mod 3, got {m}")
+    return {
+        "oddness": [("", 1, 0, 2, 1)],
+        "mod4-general": [("", 2 * m, offset, 4, residue) for offset, residue in ((1, 1), (m + 1, 3))],
+        "mod3": [("", m * m, m + r, 3, 0) for r in range(1, m)],
+        "partial-sum": [("", m, 1, 3, 1)],
+    }[family]
+
+
+def _top(rows: Sequence[Row], j_max: int) -> int:
+    """The largest weight the rows reach for j <= j_max."""
+    return max(stride * j_max + offset for _, stride, offset, _, _ in rows)
+
+
 def _counts(report: CongruenceReport, m: int, top: int) -> List[int]:
     """sp(0, m), ..., sp(top, m), refusing a top weight past RANGE_LIMIT first."""
     check_bound(top, RANGE_LIMIT, f"{report.family} top weight")
     return _sp_range(top, m)
 
 
-def _sweep(report: CongruenceReport, values: Sequence[int], rows: Iterable[Row]) -> CongruenceReport:
-    """Record values[n] mod modulus == residue for n = offset, offset + stride, ...
+def _sweep(report: CongruenceReport, values: Sequence[int], rows: Iterable[Row], j_max: int) -> CongruenceReport:
+    """Record values[stride * j + offset] mod modulus == residue for j <= j_max.
 
-    One list of values, indexed by weight, serves every row; each row is
-    recorded as one batch, labelled n=<weight> only where it fails.
+    One list of values, indexed by weight, serves every row, cut where the
+    list ends; a row is one batch, labelled <prefix>n=<weight> on failure.
     """
-    for label, stride, offset, modulus, residue in rows:
-        weights = range(offset, len(values), stride)
-        residues = [value % modulus for value in values[offset::stride]]
-        report.record_all(residues, [residue] * len(weights), lambda i: f"{label}n={weights[i]}")
+    for row in rows:
+        label, stride, offset, modulus, residue = row
+        residues = [value % modulus for value in values[offset : _top([row], j_max) + 1 : stride]]
+        report.record_all(residues, [residue] * len(residues), lambda i: f"{label}n={offset + i * stride}")
     return report
 
 
 def check_oddness(n_max: int, m: int) -> CongruenceReport:
     """sp(n, m) mod 2 == 1 for 0 <= n <= n_max."""
     check_nonneg(n_max, "n_max")
-    check_modulus(m)
+    rows = _rows("oddness", m)
     report = CongruenceReport("oddness", {"m": m, "n_max": n_max})
-    return _sweep(report, _counts(report, m, n_max), [("", 1, 0, 2, 1)])
-
-
-def _mod4_rows(m: int) -> Tuple[Row, Row]:
-    """sp(2mj + 1, m) == 1 and sp(2mj + m + 1, m) == 3 (mod 4)."""
-    return ("", 2 * m, 1, 4, 1), ("", 2 * m, m + 1, 4, 3)
+    return _sweep(report, _counts(report, m, _top(rows, n_max)), rows, n_max)
 
 
 def check_mod4_base(n_max: int) -> CongruenceReport:
     """sp(2n + 1, 2) mod 4 == (2n + 1) mod 4 for 0 <= n <= n_max.
 
-    At m = 2 the two general rows tile exactly the odd weights.
+    At m = 2 the two general rows tile exactly the odd weights, up to
+    the end of the range.
     """
     check_nonneg(n_max, "n_max")
     report = CongruenceReport("mod4", {"m": 2, "n_max": n_max})
-    return _sweep(report, _counts(report, 2, 2 * n_max + 1), _mod4_rows(2))
+    return _sweep(report, _counts(report, 2, 2 * n_max + 1), _rows("mod4-general", 2), n_max)
 
 
 def check_mod4_general(m: int, j_max: int) -> CongruenceReport:
     """sp(2mj + 1, m) == 1 and sp(2mj + m + 1, m) == 3 mod 4, j <= j_max."""
-    check_modulus(m)
+    rows = _rows("mod4-general", m)
     check_nonneg(j_max, "j_max")
     report = CongruenceReport("mod4-general", {"m": m, "j_max": j_max})
-    return _sweep(report, _counts(report, m, 2 * m * j_max + m + 1), _mod4_rows(m))
-
-
-def _check_mod3_modulus(m: int) -> None:
-    check_modulus(m)
-    if m < 4 or m % 3 != 1:
-        raise ValueError(f"modulus must be >= 4 and congruent to 1 mod 3, got {m}")
+    return _sweep(report, _counts(report, m, _top(rows, j_max)), rows, j_max)
 
 
 def check_mod3(m: int, j_max: int) -> CongruenceReport:
     """sp(m^2 j + m + r, m) divisible by 3 for j <= j_max, 1 <= r < m."""
-    _check_mod3_modulus(m)
+    rows = _rows("mod3", m)
     check_nonneg(j_max, "j_max")
     report = CongruenceReport("mod3", {"m": m, "j_max": j_max})
-    rows = [("", m * m, m + r, 3, 0) for r in range(1, m)]
-    return _sweep(report, _counts(report, m, m * m * j_max + 2 * m - 1), rows)
+    return _sweep(report, _counts(report, m, _top(rows, j_max)), rows, j_max)
 
 
 def check_partial_sum_mod3(m: int, j_max: int) -> CongruenceReport:
     """Partial sums sp(1) + ... + sp(mj + 1) == 1 mod 3, j <= j_max."""
-    _check_mod3_modulus(m)
+    rows = _rows("partial-sum", m)
     check_nonneg(j_max, "j_max")
     report = CongruenceReport("partial-sum", {"m": m, "j_max": j_max})
-    counts = _counts(report, m, m * j_max + 1)
-    return _sweep(report, list(accumulate(counts[1:], initial=0)), [("", m, 1, 3, 1)])
+    counts = _counts(report, m, _top(rows, j_max))
+    return _sweep(report, list(accumulate(counts[1:], initial=0)), rows, j_max)
 
 
 def count_two_size_odd_partitions(n: int) -> int:
@@ -153,31 +160,32 @@ def check_ob_parity(n_max: int) -> CongruenceReport:
     return report
 
 
-# modulus, then its rows: label, stride, offset, residue modulus, expected residue
+# family, modulus, and the paper's labels of the family's leading rows
 SPECIAL_CASES = (
-    (3, (("1a", 6, 1, 4, 1), ("1b", 6, 4, 4, 3))),
-    (4, (("2a", 8, 1, 4, 1), ("2b", 8, 5, 4, 3), ("1", 16, 5, 3, 0))),
-    (7, (("2", 49, 8, 3, 0),)),
-    (10, (("3", 100, 11, 3, 0),)),
+    ("mod4-general", 3, ("1a", "1b")),
+    ("mod4-general", 4, ("2a", "2b")),
+    ("mod3", 4, ("1",)),
+    ("mod3", 7, ("2",)),
+    ("mod3", 10, ("3",)),
 )
 
 
 def check_special_cases(j_max: int) -> CongruenceReport:
-    """Replay the seven fixed special-case families for 0 <= j <= j_max.
+    """Replay the seven labelled special-case rows for 0 <= j <= j_max.
 
-    Four are mod 4 statements (moduli 3 and 4) and three are mod 3
-    statements (moduli 4, 7 and 10); each is the specialisation of a
-    general family to one stride and offset.  Each modulus gets one
-    dense range up to the largest top weight of its rows, and each row
-    stops at its own top, stride * j_max + offset.
+    Four are rows of the mod 4 family (moduli 3 and 4) and three the
+    r = 1 row of the mod 3 family (moduli 4, 7 and 10).  Each modulus
+    gets one dense range up to the largest top weight of its rows, and
+    each row stops at its own top.
     """
     check_nonneg(j_max, "j_max")
-    tops = [[stride * j_max + offset for _, stride, offset, _, _ in rows] for _, rows in SPECIAL_CASES]
+    cases: Dict[int, List[Row]] = {}
+    for family, m, labels in SPECIAL_CASES:
+        cases.setdefault(m, []).extend((f"({label}) ", *row[1:]) for label, row in zip(labels, _rows(family, m)))
+    tops = {m: _top(rows, j_max) for m, rows in cases.items()}
     # refuse the largest range before building any
-    check_bound(max(map(max, tops)), RANGE_LIMIT, "special-cases top weight")
+    check_bound(max(tops.values()), RANGE_LIMIT, "special-cases top weight")
     report = CongruenceReport("special-cases", {"j_max": j_max})
-    for (m, rows), row_tops in zip(SPECIAL_CASES, tops):
-        counts = _counts(report, m, max(row_tops))
-        for (label, *row), top in zip(rows, row_tops):
-            _sweep(report, counts[: top + 1], [(f"({label}) ", *row)])
+    for m, rows in cases.items():
+        _sweep(report, _counts(report, m, tops[m]), rows, j_max)
     return report

@@ -158,7 +158,7 @@ def check_plateau_identity(v_max: int, m: int) -> CongruenceReport:
     all n <= v_max against the dense recurrence, never against sp, which
     is built on this identity.
     """
-    check_nonneg(v_max, "weight")
+    check_nonneg(v_max, "v_max")
     check_modulus(m)
     top = v_max * m + m - 1
     check_bound(top, RANGE_LIMIT, "plateau top weight")
@@ -191,8 +191,7 @@ def check_scaling_identity(m: int, j_max: int, v_max: int) -> CongruenceReport:
     counts come from the dense recurrence.  The largest scaled weight,
     m^j_max * (m * v_max + m - 1), must stay within COUNT_LIMIT.
     """
-    check_nonneg(j_max, "weight")
-    check_nonneg(v_max, "weight")
+    check_nonneg(v_max, "v_max")
     check_modulus(m)
     top = m * v_max + m - 1
     check_bound(top, RANGE_LIMIT, "scaling top weight")

@@ -129,6 +129,39 @@ def test_enum_output_is_frozen(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, m, side)
 
 
+# SHA-256 of `check` stdout and its line count, recorded before the
+# congruence rows were declared once: each family at its defaults and
+# at two other shapes
+CHECK_DIGESTS = {
+    ("oddness",): ("04bf6ed2761940c9a2f244b83085c59ee46e86b274996bc6f40d85cfb5e4ff52", 1),
+    ("oddness", "--nmax", "7", "--m", "5"): ("e8d4d84d5b8fe0439a76a8d1d95386b7b637c0ca56f46b2d1458dc6bc8e2a903", 1),
+    ("oddness", "--nmax", "40000", "--m", "10"): ("5fb9a3c156bb5706e04ef16610eb6cc68b1f8db7cbf8e53d6cdd97dd9427f529", 1),
+    ("mod4",): ("2ed09ff164fc2373f688ee4ae5de7a500a222408f810a8dc18c5cb4d79ca5129", 1),
+    ("mod4", "--nmax", "0"): ("956bf8d2516857414bb4598010071372390bf07f516a535c9d45b8d2945aff49", 1),
+    ("mod4", "--nmax", "99999"): ("3f0bab78e987aa2461d86f3265448ed317b66e43be16c40d46108c15f6ca3965", 1),
+    ("mod4-general",): ("04984442f247bb8dbe6c07f21b9c3871132b52df17670f46a7a5472b22579719", 1),
+    ("mod4-general", "--m", "3", "--jmax", "0"): ("a870e7996e9105bc193c61ef2c0cd7328d605e70a3a316f40c470cffe641a076", 1),
+    ("mod4-general", "--m", "10", "--jmax", "4999"): ("b67c38e2af6334c4477c4d602120f6895cb680cfb5696aadf4349233d3e1fc6f", 1),
+    ("mod3",): ("545cd8cf6cbc9f6d08a398e1abb8d7d0e58690c529e83458d1ef81b6d0832c3f", 1),
+    ("mod3", "--m", "7", "--jmax", "0"): ("6a874053ad3729fd8bf1fef4e68e580e6d5111cc5fdb5f8db6f99670abb4bb5d", 1),
+    ("mod3", "--m", "13", "--jmax", "300"): ("5a8a3f501a24f267771f108d16ee0f03fbf4c0b144c3e52272c17795941cbe22", 1),
+    ("partial-sum",): ("d08a7ae50c57d8a5ab1ed0e5eae94aa3180ff4b03b6d15726df203274535b158", 1),
+    ("partial-sum", "--m", "10", "--jmax", "0"): ("066f21ab4f347233991d5e7e516cca00e654947cffcbd6ad1733c9fe97ed6c49", 1),
+    ("partial-sum", "--m", "7", "--jmax", "5000"): ("4f8ad3f53a71e7b9d8eae283c006bd68b8d6809231a1c0191d1c380c64d3aaf6", 1),
+    ("special-cases",): ("bdee4d31f21e8ecf2defc3665e49cfc7989776ade8d7c257c91329557dab054c", 1),
+    ("special-cases", "--jmax", "0"): ("3f9346852342b86446d3dd9c3cef0f39a908ef86b358cbb2fb0fcce8b203ddae", 1),
+    ("special-cases", "--jmax", "999"): ("4c958db8c0b23d4d4c2976e87d4b25b2ff7e2ff1edc42fc2ab1c28588c294307", 1),
+}
+
+
+def test_check_output_is_frozen(capsys):
+    for argv, (digest, lines) in CHECK_DIGESTS.items():
+        code, out, _ = run(capsys, "check", *argv)
+        assert code == 0
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_map(capsys):
     code, out, _ = run(capsys, "map", "14,3,18,27", "3", "--direction", "to-oc")
     assert code == 0 and out == "(1^14,3,9^2,27)\n"
@@ -193,6 +226,9 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "check", "mod4", "--m", "3")[0] == 2
     assert run(capsys, "table", "10", "6", "3")[0] == 2
     assert run(capsys, "map", "1,x", "2")[0] == 2
+    # a bad modulus is malformed usage, never a domain rejection (exit 4)
+    assert run(capsys, "map", "1,2", "1")[0] == 2
+    assert run(capsys, "map", "1^2", "1", "--direction", "from-oc")[0] == 2
     assert run(capsys)[0] == 2
 
 

@@ -189,6 +189,35 @@ def test_special_cases_build_one_range_per_modulus(monkeypatch):
         assert built == [(3, 6 * j + 4), (4, 16 * j + 5), (7, 49 * j + 8), (10, 100 * j + 11)]
 
 
+def test_special_cases_read_the_family_rows(monkeypatch):
+    rows = congruence._rows
+
+    def patched(family, m):
+        declared = rows(family, m)
+        if (family, m) == ("mod3", 7):
+            *row, _ = declared[0]
+            declared[0] = (*row, 1)  # sp(49j + 8, 7) == 1 (mod 3): false
+        return declared
+
+    monkeypatch.setattr(congruence, "_rows", patched)
+    j_max = 4
+    weights = [49 * j + 8 for j in range(j_max + 1)]
+    assert [label for label, _, _ in check_mod3(7, j_max).violations] == [f"n={n}" for n in weights]
+    special = check_special_cases(j_max)
+    assert [label for label, _, _ in special.violations] == [f"(2) n={n}" for n in weights]
+    assert special.checked == 7 * (j_max + 1)
+
+
+def test_identity_sweeps_name_a_negative_argument():
+    for call, name in (
+        (lambda: check_scaling_identity(2, -1, 0), "j_max"),
+        (lambda: check_scaling_identity(2, 0, -1), "v_max"),
+        (lambda: check_plateau_identity(-1, 2), "v_max"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer, got -1$"):
+            call()
+
+
 def test_special_cases_smallest_instances():
     # j = 0 row of each family
     assert sp(1, 3) % 4 == 1
