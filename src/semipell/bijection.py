@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .core import Composition, RunForm, _membership_scan, check_modulus, runform_failure
+from .core import Composition, RunForm, _membership_scan, runform_failure
 from .enumeration import enumerate_oc, enumerate_sp
 from .report import CongruenceReport
 
@@ -36,7 +36,6 @@ def to_oc(composition: Sequence[int], m: int) -> RunForm:
 
 def from_oc(runs: Sequence[Tuple[int, int]], m: int) -> Composition:
     """Collapse each run (base, mult) into the single part base * mult."""
-    check_modulus(m)
     reason = runform_failure(runs, m)
     if reason is not None:
         raise ValueError(f"not a valid run form: {reason}")

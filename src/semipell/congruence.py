@@ -2,15 +2,15 @@
 
 Every checker replays one family of congruences over a dense range of
 counts from the recurrence (the two-size parity family over its own
-partition counter) and returns a CongruenceReport, recording each row
-as one batch through record_all, its only recording method; nothing
-here is proved, only verified instance by instance.  Each family's rows
-(stride, offset, modulus, residue) are declared once, in _rows, and read
-by one progression sweep over one dense range (for the partial sums, its
-running sums); mod 4 at m = 2 and the special cases reuse those rows.
-Each sweep refuses its own input bound before it allocates or counts
-anything: a top weight past recurrence.RANGE_LIMIT, or for the parity
-family an n past OB_PARITY_LIMIT.
+partition counter) and returns a CongruenceReport, recording each row as
+one batch through record_all; nothing here is proved, only verified
+instance by instance.  Each family's rows (stride, offset, modulus,
+residue) are declared once, in _rows, and read by one progression sweep
+over one dense range (for the partial sums, its running sums); mod 4 at
+m = 2 and the special cases reuse those rows.  Each sweep refuses its
+input bound, a top weight past recurrence.RANGE_LIMIT or for the parity
+family an n past OB_PARITY_LIMIT, before it builds that range or counts
+anything; mod 3 has built its m - 1 rows by then.
 
   * oddness: sp(n, m) is odd for every n >= 0.
   * mod 4, base case m = 2: sp(2n + 1, 2) = 2n + 1 (mod 4).
@@ -50,14 +50,16 @@ Row = Tuple[str, int, int, int, int]
 def _rows(family: str, m: int) -> List[Row]:
     """The rows of one family at modulus m: the only place a row is written."""
     check_modulus(m)
-    if family in ("mod3", "partial-sum") and (m < 4 or m % 3 != 1):
+    if family == "oddness":
+        return [("", 1, 0, 2, 1)]
+    if family == "mod4-general":
+        stride = 2 * m
+        return [("", stride, 1, 4, 1), ("", stride, m + 1, 4, 3)]
+    if m < 4 or m % 3 != 1:
         raise ValueError(f"modulus must be >= 4 and congruent to 1 mod 3, got {m}")
-    return {
-        "oddness": [("", 1, 0, 2, 1)],
-        "mod4-general": [("", 2 * m, offset, 4, residue) for offset, residue in ((1, 1), (m + 1, 3))],
-        "mod3": [("", m * m, m + r, 3, 0) for r in range(1, m)],
-        "partial-sum": [("", m, 1, 3, 1)],
-    }[family]
+    if family == "mod3":
+        return [("", m * m, m + r, 3, 0) for r in range(1, m)]
+    return [("", m, 1, 3, 1)]  # partial-sum
 
 
 def _top(rows: Sequence[Row], j_max: int) -> int:
@@ -74,8 +76,8 @@ def _counts(report: CongruenceReport, m: int, top: int) -> List[int]:
 def _sweep(report: CongruenceReport, values: Sequence[int], rows: Iterable[Row], j_max: int) -> CongruenceReport:
     """Record values[stride * j + offset] mod modulus == residue for j <= j_max.
 
-    One list of values, indexed by weight, serves every row, cut where the
-    list ends; a row is one batch, labelled <prefix>n=<weight> on failure.
+    One list of values, indexed by weight, serves every row; a row stops at
+    j_max or at the end of the list, and is one batch, labelled on failure.
     """
     for row in rows:
         label, stride, offset, modulus, residue = row
@@ -95,8 +97,7 @@ def check_oddness(n_max: int, m: int) -> CongruenceReport:
 def check_mod4_base(n_max: int) -> CongruenceReport:
     """sp(2n + 1, 2) mod 4 == (2n + 1) mod 4 for 0 <= n <= n_max.
 
-    At m = 2 the two general rows tile exactly the odd weights, up to
-    the end of the range.
+    At m = 2 the general rows tile the odd weights up to the range's end.
     """
     check_nonneg(n_max, "n_max")
     report = CongruenceReport("mod4", {"m": 2, "n_max": n_max})
@@ -181,7 +182,8 @@ def check_special_cases(j_max: int) -> CongruenceReport:
     check_nonneg(j_max, "j_max")
     cases: Dict[int, List[Row]] = {}
     for family, m, labels in SPECIAL_CASES:
-        cases.setdefault(m, []).extend((f"({label}) ", *row[1:]) for label, row in zip(labels, _rows(family, m)))
+        for label, (_, *row) in zip(labels, _rows(family, m)):
+            cases.setdefault(m, []).append((f"({label}) ", *row))
     tops = {m: _top(rows, j_max) for m, rows in cases.items()}
     # refuse the largest range before building any
     check_bound(max(tops.values()), RANGE_LIMIT, "special-cases top weight")

@@ -107,7 +107,6 @@ def functional_equation_residual(m: int, order: int) -> List[int]:
     Orders above ORDER_LIMIT are refused.
     """
     check_modulus(m)
-    check_nonneg(order, "order")
     check_bound(order, ORDER_LIMIT, "functional_equation_residual order")
     q = qm_series(m, order)
     q_sub = [0] * (order + 1)  # Q(x^m)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -305,6 +307,29 @@ def test_sweeps_refuse_their_bound_before_any_work(monkeypatch):
             fn(*past)
         with pytest.raises(Reached):
             fn(*within)
+
+
+def test_sweeps_build_only_their_own_rows():
+    # m = 3 * 10^5 + 1 admits the mod 3 family, whose m - 1 rows would
+    # take tens of MB; no other family may build them.  These calls are
+    # refused or tiny, so they stay far below 1 MB.
+    m = 3 * 10**5 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBoundExceeded):
+            check_mod4_general(m, 2)
+        with pytest.raises(SearchBoundExceeded):
+            check_partial_sum_mod3(m, 10)
+        assert check_oddness(0, m).checked == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    # so a modulus far past any range is answered at once, as a bound or a pass
+    with pytest.raises(SearchBoundExceeded, match="bound"):
+        check_mod4_general(10**12, 0)
+    assert check_oddness(0, 10**12).passed
+    assert check_partial_sum_mod3(10**12 + 3, 0).passed
 
 
 def _corrupt(fn, weights):
