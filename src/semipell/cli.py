@@ -14,7 +14,8 @@ ob-parity n above congruence.OB_PARITY_LIMIT, and scaling scaled
 weights above recurrence.COUNT_LIMIT.  This module adds three: count
 refuses n above COUNT_LIMIT, series orders above ORDER_LIMIT, and
 roundtrip weights above ENUMERATION_LIMIT, before generating any.
-check also refuses, as malformed usage, a flag its family does not read.
+Each check family is its own sub-command, built from _check_table, so
+argparse refuses, as malformed usage, a flag the family does not read.
 
 Compositions print as (1,2) and run forms as (1^3,2), with the
 multiplicity omitted when it is 1; the same syntax, minus the
@@ -159,12 +160,8 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pick(value: Optional[int], default: int) -> int:
-    return default if value is None else value
-
-
 def _scaling_report(m: int, j_max: int, v_max: Optional[int]) -> CongruenceReport:
-    return check_scaling_identity(m, j_max, _pick(v_max, m))
+    return check_scaling_identity(m, j_max, m if v_max is None else v_max)
 
 
 def _roundtrip_report(m: int, n_max: int) -> CongruenceReport:
@@ -183,37 +180,35 @@ def _funceq_report(m: int, order: int) -> CongruenceReport:
 
 
 def _check_table() -> dict:
-    """family -> (function, ((flag, default), ...)).
+    """family -> (function, ((flag, default, argparse keywords), ...)).
 
-    The flags' values are the function's arguments, in order; a family
-    refuses every other flag.  Built per call, so that the names are
-    looked up when a check runs.
+    Each family's sub-command takes exactly these flags, and their values
+    are the function's arguments, in order.  Built per call, so that the
+    names are looked up when a check runs.
     """
+    count, modulus = {"type": _at_least(0)}, {"type": _at_least(2)}
+    # mod4 and ob-parity hold only at m = 2: they accept that modulus, then drop it
+    base_two = ("m", 2, {**modulus, "choices": (2,)})
+    sides = {"choices": ("sp", "oc", "both"), "help": "which oracle comparison to run"}
     return {
-        "oddness": (check_oddness, (("nmax", 1000), ("m", 2))),
-        "mod4": (check_mod4_base, (("nmax", 500),)),
-        "mod4-general": (check_mod4_general, (("m", 2), ("jmax", 200))),
-        "mod3": (check_mod3, (("m", 4), ("jmax", 100))),
-        "partial-sum": (check_partial_sum_mod3, (("m", 4), ("jmax", 100))),
-        "ob-parity": (check_ob_parity, (("nmax", 1000),)),
-        "plateau": (check_plateau_identity, (("vmax", 100), ("m", 2))),
-        "scaling": (_scaling_report, (("m", 2), ("jmax", 12), ("vmax", None))),
-        "special-cases": (check_special_cases, (("jmax", 200),)),
-        "roundtrip": (_roundtrip_report, (("m", 2), ("nmax", 20))),
-        "oracle": (oracle_agreement, (("m", 2), ("nmax", 20), ("side", "both"))),
-        "funceq": (_funceq_report, (("m", 2), ("order", 256))),
+        "oddness": (check_oddness, (("nmax", 1000, count), ("m", 2, modulus))),
+        "mod4": (lambda n_max, m: check_mod4_base(n_max), (("nmax", 500, count), base_two)),
+        "mod4-general": (check_mod4_general, (("m", 2, modulus), ("jmax", 200, count))),
+        "mod3": (check_mod3, (("m", 4, modulus), ("jmax", 100, count))),
+        "partial-sum": (check_partial_sum_mod3, (("m", 4, modulus), ("jmax", 100, count))),
+        "ob-parity": (lambda n_max, m: check_ob_parity(n_max), (("nmax", 1000, count), base_two)),
+        "plateau": (check_plateau_identity, (("vmax", 100, count), ("m", 2, modulus))),
+        "scaling": (_scaling_report, (("m", 2, modulus), ("jmax", 12, count), ("vmax", None, count))),
+        "special-cases": (check_special_cases, (("jmax", 200, count),)),
+        "roundtrip": (_roundtrip_report, (("m", 2, modulus), ("nmax", 20, count))),
+        "oracle": (oracle_agreement, (("m", 2, modulus), ("nmax", 20, count), ("side", "both", sides))),
+        "funceq": (_funceq_report, (("m", 2, modulus), ("order", 256, count))),
     }
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     check, flags = _check_table()[args.family]
-    read = {flag for flag, _ in flags}
-    if args.family in ("mod4", "ob-parity") and args.m == 2:
-        read.add("m")  # a base-two family accepts its own modulus
-    for flag in ("m", "nmax", "jmax", "vmax", "order", "side"):
-        if flag not in read and getattr(args, flag) is not None:
-            raise ValueError(f"check {args.family} does not take --{flag}")
-    report = check(*(_pick(getattr(args, flag), default) for flag, default in flags))
+    report = check(*(getattr(args, flag) for flag, _, _ in flags))
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
@@ -256,15 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("check", help="run one verification sweep")
-    p.add_argument("family", choices=_check_table())
-    p.add_argument("--m", type=_at_least(2))
-    p.add_argument("--nmax", type=_at_least(0))
-    p.add_argument("--jmax", type=_at_least(0))
-    p.add_argument("--vmax", type=_at_least(0))
-    p.add_argument("--order", type=_at_least(0))
-    p.add_argument("--side", choices=("sp", "oc", "both"),
-                   help="which oracle comparison to run (oracle family only)")
-    p.set_defaults(func=cmd_check)
+    families = p.add_subparsers(dest="family", required=True)
+    for family, (_, flags) in _check_table().items():
+        f = families.add_parser(family)
+        for flag, default, keywords in flags:
+            f.add_argument(f"--{flag}", default=default, **keywords)
+        f.set_defaults(func=cmd_check)
 
     return parser
 

@@ -5,12 +5,12 @@ counts from the recurrence (the two-size parity family over its own
 partition counter) and returns a CongruenceReport, recording each row as
 one batch through record_all; nothing here is proved, only verified
 instance by instance.  Each family's rows (stride, offset, modulus,
-residue) are declared once, in _rows, and read by one progression sweep
+residue) are declared once, in _family, and read by one progression sweep
 over one dense range (for the partial sums, its running sums); mod 4 at
 m = 2 and the special cases reuse those rows.  Each sweep refuses its
 input bound, a top weight past recurrence.RANGE_LIMIT or for the parity
-family an n past OB_PARITY_LIMIT, before it builds that range or counts
-anything; mod 3 has built its m - 1 rows by then.
+family an n past OB_PARITY_LIMIT, before it builds that range, its rows
+or counts anything.
 
   * oddness: sp(n, m) is odd for every n >= 0.
   * mod 4, base case m = 2: sp(2n + 1, 2) = 2n + 1 (mod 4).
@@ -32,7 +32,7 @@ anything; mod 3 has built its m - 1 rows by then.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .core import check_bound, check_modulus, check_nonneg
@@ -47,19 +47,25 @@ OB_PARITY_LIMIT = 10**4
 Row = Tuple[str, int, int, int, int]
 
 
-def _rows(family: str, m: int) -> List[Row]:
-    """The rows of one family at modulus m: the only place a row is written."""
+def _family(family: str, m: int) -> Tuple[int, int, Sequence[int], Iterable[int]]:
+    """Stride, residue modulus, rising offsets and expected residues of one
+    family's rows at modulus m: the only place a row is written."""
     check_modulus(m)
     if family == "oddness":
-        return [("", 1, 0, 2, 1)]
+        return 1, 2, (0,), (1,)
     if family == "mod4-general":
-        stride = 2 * m
-        return [("", stride, 1, 4, 1), ("", stride, m + 1, 4, 3)]
+        return 2 * m, 4, (1, m + 1), (1, 3)
     if m < 4 or m % 3 != 1:
         raise ValueError(f"modulus must be >= 4 and congruent to 1 mod 3, got {m}")
     if family == "mod3":
-        return [("", m * m, m + r, 3, 0) for r in range(1, m)]
-    return [("", m, 1, 3, 1)]  # partial-sum
+        return m * m, 3, range(m + 1, 2 * m), repeat(0)
+    return m, 3, (1,), (1,)  # partial-sum
+
+
+def _rows(family: str, m: int) -> List[Row]:
+    """The rows of one family at modulus m, one per offset."""
+    stride, modulus, offsets, residues = _family(family, m)
+    return [("", stride, offset, modulus, residue) for offset, residue in zip(offsets, residues)]
 
 
 def _top(rows: Sequence[Row], j_max: int) -> int:
@@ -114,10 +120,11 @@ def check_mod4_general(m: int, j_max: int) -> CongruenceReport:
 
 def check_mod3(m: int, j_max: int) -> CongruenceReport:
     """sp(m^2 j + m + r, m) divisible by 3 for j <= j_max, 1 <= r < m."""
-    rows = _rows("mod3", m)
+    stride, _, offsets, _ = _family("mod3", m)
     check_nonneg(j_max, "j_max")
     report = CongruenceReport("mod3", {"m": m, "j_max": j_max})
-    return _sweep(report, _counts(report, m, _top(rows, j_max)), rows, j_max)
+    counts = _counts(report, m, stride * j_max + offsets[-1])  # before its m - 1 rows exist
+    return _sweep(report, counts, _rows("mod3", m), j_max)
 
 
 def check_partial_sum_mod3(m: int, j_max: int) -> CongruenceReport:

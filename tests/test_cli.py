@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from semipell import ENUMERATION_LIMIT, sp
 from semipell.cli import (
     COUNT_LIMIT,
     ORDER_LIMIT,
+    _check_table,
     build_parser,
     format_composition,
     format_runform,
@@ -224,6 +226,8 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "check", "nosuch")[0] == 2
     assert run(capsys, "check", "mod3", "--m", "5")[0] == 2
     assert run(capsys, "check", "mod4", "--m", "3")[0] == 2
+    # a family's flags follow its name
+    assert run(capsys, "check", "--m", "4", "mod3")[0] == 2
     assert run(capsys, "table", "10", "6", "3")[0] == 2
     assert run(capsys, "map", "1,x", "2")[0] == 2
     # a bad modulus is malformed usage, never a domain rejection (exit 4)
@@ -233,23 +237,50 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_check_refuses_flags_the_family_does_not_read(capsys):
-    for argv in (
-        ("check", "mod3", "--nmax", "5"),
-        ("check", "oddness", "--jmax", "5"),
-        ("check", "oddness", "--side", "sp"),
-        ("check", "special-cases", "--m", "4"),
-        ("check", "funceq", "--nmax", "5"),
-        ("check", "roundtrip", "--order", "5"),
-        ("check", "mod4", "--m", "3"),
-        ("check", "ob-parity", "--m", "3"),
+    for argv, refusal in (
+        (("check", "mod3", "--nmax", "5"), "unrecognized arguments: --nmax 5"),
+        (("check", "oddness", "--jmax", "5"), "unrecognized arguments: --jmax 5"),
+        (("check", "oddness", "--side", "sp"), "unrecognized arguments: --side sp"),
+        (("check", "special-cases", "--m", "4"), "unrecognized arguments: --m 4"),
+        (("check", "funceq", "--nmax", "5"), "unrecognized arguments: --nmax 5"),
+        (("check", "roundtrip", "--order", "5"), "unrecognized arguments: --order 5"),
+        (("check", "mod4", "--m", "3"), "argument --m: invalid choice: 3"),
+        (("check", "ob-parity", "--m", "3"), "argument --m: invalid choice: 3"),
     ):
         code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "" and f"does not take {argv[2]}" in err, argv
+        assert code == 2 and out == "" and refusal in err, argv
     # the base-two families accept their own modulus
     code, out, _ = run(capsys, "check", "mod4", "--m", "2", "--nmax", "3")
     assert code == 0 and out == "PASS mod4 checked=4\n"
     code, out, _ = run(capsys, "check", "ob-parity", "--m", "2", "--nmax", "11")
     assert code == 0 and out == "PASS ob-parity checked=6\n"
+
+
+# the flags each family reads, written out apart from the parser's table
+CHECK_FLAGS = {
+    "oddness": {"nmax", "m"},
+    "mod4": {"nmax", "m"},
+    "mod4-general": {"m", "jmax"},
+    "mod3": {"m", "jmax"},
+    "partial-sum": {"m", "jmax"},
+    "ob-parity": {"nmax", "m"},
+    "plateau": {"vmax", "m"},
+    "scaling": {"m", "jmax", "vmax"},
+    "special-cases": {"jmax"},
+    "roundtrip": {"m", "nmax"},
+    "oracle": {"m", "nmax", "side"},
+    "funceq": {"m", "order"},
+}
+
+
+def test_check_help_lists_only_the_family_flags(capsys):
+    assert set(_check_table()) == set(CHECK_FLAGS)
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == 0 and all(family in out for family in CHECK_FLAGS)
+    for family, flags in CHECK_FLAGS.items():
+        code, out, _ = run(capsys, "check", family, "--help")
+        assert code == 0 and out.startswith(f"usage: semipell check {family} "), family
+        assert set(re.findall(r"--(\w+)", out)) == flags | {"help"}, family
 
 
 def test_bound_errors_exit_3(capsys):

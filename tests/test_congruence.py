@@ -311,8 +311,9 @@ def test_sweeps_refuse_their_bound_before_any_work(monkeypatch):
 
 def test_sweeps_build_only_their_own_rows():
     # m = 3 * 10^5 + 1 admits the mod 3 family, whose m - 1 rows would
-    # take tens of MB; no other family may build them.  These calls are
-    # refused or tiny, so they stay far below 1 MB.
+    # take tens of MB; no other family may build them, and mod 3 itself
+    # not when it refuses.  These calls are refused or tiny, so they stay
+    # far below 1 MB.
     m = 3 * 10**5 + 1
     tracemalloc.start()
     try:
@@ -321,10 +322,14 @@ def test_sweeps_build_only_their_own_rows():
         with pytest.raises(SearchBoundExceeded):
             check_partial_sum_mod3(m, 10)
         assert check_oddness(0, m).checked == 1
+        with pytest.raises(SearchBoundExceeded, match="^mod3 top weight refuses 180001800003, bound is 1000000$"):
+            check_mod3(m, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+    with pytest.raises(SearchBoundExceeded, match="bound"):
+        check_mod3(10**9 + 3, 0)
     # so a modulus far past any range is answered at once, as a bound or a pass
     with pytest.raises(SearchBoundExceeded, match="bound"):
         check_mod4_general(10**12, 0)
