@@ -8,83 +8,72 @@ length is not divisible by m.  Counting, exhaustive generation, the
 part-to-run bijection, a generating-series engine and a collection of
 congruence sweeps all live in their own modules and share only exact
 integer arithmetic.
-"""
 
-from .bijection import from_oc, roundtrip_check, to_oc
-from .congruence import (
-    check_mod3,
-    check_mod4_base,
-    check_mod4_general,
-    check_ob_parity,
-    check_oddness,
-    check_partial_sum_mod3,
-    check_special_cases,
-    count_two_size_odd_partitions,
-)
-from .core import (
-    NOT_DISTINCT,
-    NOT_UNIMODAL,
-    SearchBoundExceeded,
-    is_semi_m_pell,
-    max_m_power,
-    membership_failure,
-    runform_failure,
-    runform_parts,
-    tau1,
-    tau2,
-    tau3,
-    validate_runform,
-)
-from .enumeration import (
-    ENUMERATION_LIMIT,
-    enumerate_oc,
-    enumerate_sp,
-    oracle_agreement,
-    oracle_oc,
-    oracle_sp,
-)
-from .recurrence import check_plateau_identity, check_scaling_identity, sp, sp_table
-from .report import CongruenceReport
-from .series import functional_equation_residual, qm_peak_terms, qm_series
+Every public name can be read from the package itself (``semipell.sp``,
+``from semipell import enumerate_oc``), but ``import semipell`` loads
+no submodule: reading a name imports the module that defines it (PEP
+562), so a caller pays only for the modules it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CongruenceReport",
-    "ENUMERATION_LIMIT",
-    "NOT_DISTINCT",
-    "NOT_UNIMODAL",
-    "SearchBoundExceeded",
-    "check_mod3",
-    "check_mod4_base",
-    "check_mod4_general",
-    "check_ob_parity",
-    "check_oddness",
-    "check_partial_sum_mod3",
-    "check_plateau_identity",
-    "check_scaling_identity",
-    "check_special_cases",
-    "count_two_size_odd_partitions",
-    "enumerate_oc",
-    "enumerate_sp",
-    "from_oc",
-    "functional_equation_residual",
-    "is_semi_m_pell",
-    "max_m_power",
-    "membership_failure",
-    "oracle_agreement",
-    "oracle_oc",
-    "oracle_sp",
-    "qm_peak_terms",
-    "qm_series",
-    "roundtrip_check",
-    "runform_failure",
-    "runform_parts",
-    "sp",
-    "sp_table",
-    "tau1",
-    "tau2",
-    "tau3",
-    "to_oc",
-    "validate_runform",
-]
+# Each public name, under the module that defines it: the one list of
+# the package's surface, from which __all__ and __getattr__ are derived.
+_EXPORTS = {
+    "bijection": ("from_oc", "roundtrip_check", "to_oc"),
+    "congruence": (
+        "check_mod3",
+        "check_mod4_base",
+        "check_mod4_general",
+        "check_ob_parity",
+        "check_oddness",
+        "check_partial_sum_mod3",
+        "check_special_cases",
+        "count_two_size_odd_partitions",
+    ),
+    "core": (
+        "NOT_DISTINCT",
+        "NOT_UNIMODAL",
+        "SearchBoundExceeded",
+        "is_semi_m_pell",
+        "max_m_power",
+        "membership_failure",
+        "runform_failure",
+        "runform_parts",
+        "tau1",
+        "tau2",
+        "tau3",
+        "validate_runform",
+    ),
+    "enumeration": (
+        "ENUMERATION_LIMIT",
+        "enumerate_oc",
+        "enumerate_sp",
+        "oracle_agreement",
+        "oracle_oc",
+        "oracle_sp",
+    ),
+    "recurrence": ("check_plateau_identity", "check_scaling_identity", "sp", "sp_table"),
+    "report": ("CongruenceReport",),
+    "series": ("functional_equation_residual", "qm_peak_terms", "qm_series"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import the module that defines a public name, on its first read."""
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,10 +12,16 @@ module, table and the check sweeps refuse dense count ranges past
 recurrence.RANGE_LIMIT, funceq refuses orders above series.ORDER_LIMIT,
 ob-parity n above congruence.OB_PARITY_LIMIT, and scaling scaled
 weights above recurrence.COUNT_LIMIT.  This module adds three: count
-refuses n above COUNT_LIMIT, series orders above ORDER_LIMIT, and
-roundtrip weights above ENUMERATION_LIMIT, before generating any.
-Each check family is its own sub-command, built from _check_table, so
-argparse refuses, as malformed usage, a flag the family does not read.
+refuses n above recurrence.COUNT_LIMIT, series orders above
+series.ORDER_LIMIT, and roundtrip weights above
+enumeration.ENUMERATION_LIMIT, before generating any.  Each check
+family is its own sub-command, built from _check_table, so argparse
+refuses, as malformed usage, a flag the family does not read.
+
+At import this module loads only core, which holds the errors that
+main maps to exit codes.  Each command imports the library modules it
+runs when it runs (count, for instance, loads recurrence and report and
+nothing else), because start-up is most of a short command's time.
 
 Compositions print as (1,2) and run forms as (1^3,2), with the
 multiplicity omitted when it is 1; the same syntax, minus the
@@ -25,25 +31,14 @@ parentheses, is accepted as input by the map subcommand.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Callable, List, Optional, Sequence, Tuple
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from .bijection import _record_roundtrip, from_oc, to_oc
-from .congruence import (
-    check_mod3,
-    check_mod4_base,
-    check_mod4_general,
-    check_ob_parity,
-    check_oddness,
-    check_partial_sum_mod3,
-    check_special_cases,
-)
 from .core import SearchBoundExceeded, check_bound
-from .enumeration import ENUMERATION_LIMIT, enumerate_oc, enumerate_sp, oracle_agreement
-from .recurrence import COUNT_LIMIT, check_plateau_identity, check_scaling_identity, sp, sp_table
-from .report import CongruenceReport
-from .series import ORDER_LIMIT, functional_equation_residual, qm_series
+
+if TYPE_CHECKING:
+    from .report import CongruenceReport
 
 
 def format_composition(parts: Sequence[int]) -> str:
@@ -108,9 +103,13 @@ def _at_least(low: int) -> Callable[[str], int]:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from .recurrence import COUNT_LIMIT, sp
+
     check_bound(args.n, COUNT_LIMIT, "count")
     value = sp(args.n, args.m)
     if args.json:
+        import json
+
         print(json.dumps({"n": args.n, "m": args.m, "sp": str(value)}))
     else:
         print(f"sp({args.n},{args.m}) = {value}")
@@ -118,6 +117,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .recurrence import sp_table
+
     if args.m_min > args.m_max:
         raise ValueError("m_min exceeds m_max")
     moduli = range(args.m_min, args.m_max + 1)
@@ -129,6 +130,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
+    from .enumeration import enumerate_oc, enumerate_sp
+
     if args.side == "sp":
         for comp in enumerate_sp(args.n, args.m):
             print(format_composition(comp))
@@ -139,6 +142,8 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    from .bijection import from_oc, to_oc
+
     if args.direction == "to-oc":
         parse, apply, show = parse_composition, to_oc, format_runform
     else:
@@ -154,17 +159,37 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from .series import ORDER_LIMIT, qm_series
+
     check_bound(args.order, ORDER_LIMIT, "series order")
     for n, coefficient in enumerate(qm_series(args.m, args.order)):
         print(f"{n} {coefficient}")
     return 0
 
 
+def _mod4_report(n_max: int, m: int) -> CongruenceReport:
+    from .congruence import check_mod4_base
+
+    return check_mod4_base(n_max)
+
+
+def _ob_parity_report(n_max: int, m: int) -> CongruenceReport:
+    from .congruence import check_ob_parity
+
+    return check_ob_parity(n_max)
+
+
 def _scaling_report(m: int, j_max: int, v_max: Optional[int]) -> CongruenceReport:
+    from .recurrence import check_scaling_identity
+
     return check_scaling_identity(m, j_max, m if v_max is None else v_max)
 
 
 def _roundtrip_report(m: int, n_max: int) -> CongruenceReport:
+    from .bijection import _record_roundtrip
+    from .enumeration import ENUMERATION_LIMIT
+    from .report import CongruenceReport
+
     check_bound(n_max, ENUMERATION_LIMIT, "roundtrip n_max")
     report = CongruenceReport("roundtrip", {"m": m, "n_max": n_max})
     for n in range(n_max + 1):
@@ -173,6 +198,9 @@ def _roundtrip_report(m: int, n_max: int) -> CongruenceReport:
 
 
 def _funceq_report(m: int, order: int) -> CongruenceReport:
+    from .report import CongruenceReport
+    from .series import functional_equation_residual
+
     report = CongruenceReport("funceq", {"m": m, "order": order})
     residual = functional_equation_residual(m, order)
     report.record_all(residual, [0] * len(residual), "n={}".format)
@@ -180,34 +208,37 @@ def _funceq_report(m: int, order: int) -> CongruenceReport:
 
 
 def _check_table() -> dict:
-    """family -> (function, ((flag, default, argparse keywords), ...)).
+    """family -> ("module.function", ((flag, default, argparse keywords), ...)).
 
     Each family's sub-command takes exactly these flags, and their values
-    are the function's arguments, in order.  Built per call, so that the
-    names are looked up when a check runs.
+    are the function's arguments, in order.  The function is named, not
+    bound: cmd_check imports its module (a library module, or "cli" for
+    a helper above) only when the family runs.
     """
     count, modulus = {"type": _at_least(0)}, {"type": _at_least(2)}
     # mod4 and ob-parity hold only at m = 2: they accept that modulus, then drop it
     base_two = ("m", 2, {**modulus, "choices": (2,)})
     sides = {"choices": ("sp", "oc", "both"), "help": "which oracle comparison to run"}
     return {
-        "oddness": (check_oddness, (("nmax", 1000, count), ("m", 2, modulus))),
-        "mod4": (lambda n_max, m: check_mod4_base(n_max), (("nmax", 500, count), base_two)),
-        "mod4-general": (check_mod4_general, (("m", 2, modulus), ("jmax", 200, count))),
-        "mod3": (check_mod3, (("m", 4, modulus), ("jmax", 100, count))),
-        "partial-sum": (check_partial_sum_mod3, (("m", 4, modulus), ("jmax", 100, count))),
-        "ob-parity": (lambda n_max, m: check_ob_parity(n_max), (("nmax", 1000, count), base_two)),
-        "plateau": (check_plateau_identity, (("vmax", 100, count), ("m", 2, modulus))),
-        "scaling": (_scaling_report, (("m", 2, modulus), ("jmax", 12, count), ("vmax", None, count))),
-        "special-cases": (check_special_cases, (("jmax", 200, count),)),
-        "roundtrip": (_roundtrip_report, (("m", 2, modulus), ("nmax", 20, count))),
-        "oracle": (oracle_agreement, (("m", 2, modulus), ("nmax", 20, count), ("side", "both", sides))),
-        "funceq": (_funceq_report, (("m", 2, modulus), ("order", 256, count))),
+        "oddness": ("congruence.check_oddness", (("nmax", 1000, count), ("m", 2, modulus))),
+        "mod4": ("cli._mod4_report", (("nmax", 500, count), base_two)),
+        "mod4-general": ("congruence.check_mod4_general", (("m", 2, modulus), ("jmax", 200, count))),
+        "mod3": ("congruence.check_mod3", (("m", 4, modulus), ("jmax", 100, count))),
+        "partial-sum": ("congruence.check_partial_sum_mod3", (("m", 4, modulus), ("jmax", 100, count))),
+        "ob-parity": ("cli._ob_parity_report", (("nmax", 1000, count), base_two)),
+        "plateau": ("recurrence.check_plateau_identity", (("vmax", 100, count), ("m", 2, modulus))),
+        "scaling": ("cli._scaling_report", (("m", 2, modulus), ("jmax", 12, count), ("vmax", None, count))),
+        "special-cases": ("congruence.check_special_cases", (("jmax", 200, count),)),
+        "roundtrip": ("cli._roundtrip_report", (("m", 2, modulus), ("nmax", 20, count))),
+        "oracle": ("enumeration.oracle_agreement", (("m", 2, modulus), ("nmax", 20, count), ("side", "both", sides))),
+        "funceq": ("cli._funceq_report", (("m", 2, modulus), ("order", 256, count))),
     }
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    check, flags = _check_table()[args.family]
+    target, flags = _check_table()[args.family]
+    module, function = target.split(".")
+    check = getattr(import_module(f".{module}", __package__), function)
     report = check(*(getattr(args, flag) for flag, _, _ in flags))
     for line in report.lines():
         print(line)

@@ -8,10 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from semipell import ENUMERATION_LIMIT, sp
+from semipell import ENUMERATION_LIMIT, bijection, congruence, sp
 from semipell.cli import (
-    COUNT_LIMIT,
-    ORDER_LIMIT,
     _check_table,
     build_parser,
     format_composition,
@@ -21,7 +19,10 @@ from semipell.cli import (
     parse_runform,
 )
 from semipell.congruence import OB_PARITY_LIMIT
-from semipell.recurrence import RANGE_LIMIT
+from semipell.recurrence import COUNT_LIMIT, RANGE_LIMIT
+from semipell.series import ORDER_LIMIT
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TABLE_1_TO_15 = {
     2: [1, 1, 3, 1, 5, 3, 11, 1, 13, 5, 23, 3, 29, 11, 51],
@@ -294,15 +295,16 @@ def test_bound_errors_exit_3(capsys):
 
 
 def test_roundtrip_limit(capsys, monkeypatch):
-    import semipell.cli as cli_mod
-
     def refuse(report, n, m):
         raise AssertionError(f"weight {n} at m={m} ran before the bound check")
 
     # refused before any weight is generated
-    monkeypatch.setattr(cli_mod, "_record_roundtrip", refuse)
+    monkeypatch.setattr(bijection, "_record_roundtrip", refuse)
     code, out, err = run(capsys, "check", "roundtrip", "--nmax", str(ENUMERATION_LIMIT + 1))
     assert code == 3 and out == "" and "bound" in err
+    # the patch reaches the command: a sweep within the bound runs into it
+    with pytest.raises(AssertionError, match="weight 0 at m=2"):
+        main(["check", "roundtrip", "--nmax", "0"])
     monkeypatch.undo()
     code, out, _ = run(capsys, "check", "roundtrip", "--m", "10", "--nmax", str(ENUMERATION_LIMIT))
     assert code == 0 and out.startswith("PASS roundtrip")
@@ -388,7 +390,6 @@ def test_scaling_limit(capsys):
 
 
 def test_check_failure_exits_1(capsys, monkeypatch):
-    import semipell.cli as cli_mod
     from semipell.report import CongruenceReport
 
     def broken(n_max, m):
@@ -396,7 +397,7 @@ def test_check_failure_exits_1(capsys, monkeypatch):
         report.record_all([0], [1], lambda i: "n=0")
         return report
 
-    monkeypatch.setattr(cli_mod, "check_oddness", broken)
+    monkeypatch.setattr(congruence, "check_oddness", broken)
     code, out, _ = run(capsys, "check", "oddness")
     assert code == 1
     assert out.startswith("FAIL oddness")
@@ -408,29 +409,60 @@ def test_module_entry_point():
         [sys.executable, "-m", "semipell", "count", "7", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0
     assert proc.stdout == "sp(7,2) = 11\n"
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    # every command pays the package import; dataclasses pulls in
-    # inspect, which costs a sizeable share of it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, semipell.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def _loaded_after(code):
+    """The semipell, dataclasses and inspect modules in sys.modules after code runs."""
+    probe = f"{code}\nprint(*sorted(m for m in sys.modules if m.startswith(('semipell', 'dataclasses', 'inspect'))))"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         check=True,
     )
-    assert proc.stdout == "[]\n"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # start-up is most of a short command's time; dataclasses pulls in
+    # inspect, which alone takes longer to import than core, report and
+    # recurrence together
+    assert {"dataclasses", "inspect"}.isdisjoint(_loaded_after("import sys, semipell.cli"))
+
+
+# the library modules each command runs, beyond semipell and semipell.cli
+COMMAND_MODULES = [
+    (["count", "5", "2"], {"core", "recurrence", "report"}),
+    (["count", "5", "2", "--json"], {"core", "recurrence", "report"}),
+    (["table", "9", "2", "3"], {"core", "recurrence", "report"}),
+    (["check", "plateau", "--vmax", "5"], {"core", "recurrence", "report"}),
+    (["enum", "5", "2", "--side", "oc"], {"core", "enumeration", "report"}),
+    (["check", "oracle", "--nmax", "8"], {"core", "enumeration", "report"}),
+    (["series", "3", "40"], {"core", "series"}),
+    (["map", "14,3,18,27", "3"], {"core", "enumeration", "report", "bijection"}),
+    (["check", "roundtrip", "--nmax", "8"], {"core", "enumeration", "report", "bijection"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[" ".join(a) for a, _ in COMMAND_MODULES])
+def test_each_command_imports_only_its_modules(argv, modules):
+    loaded = _loaded_after(f"import sys\nfrom semipell import cli\nassert cli.main({argv!r}) == 0")
+    assert loaded == {"semipell", "semipell.cli"} | {f"semipell.{m}" for m in modules}
+
+
+def test_bare_package_import_loads_no_submodule():
+    assert _loaded_after("import sys, semipell") == {"semipell"}
 
 
 def test_determinism_across_runs():
     argv = [sys.executable, "-m", "semipell", "enum", "17", "2", "--side", "oc"]
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    first = subprocess.run(argv, capture_output=True, text=True, env=env)
+    second = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0

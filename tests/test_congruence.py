@@ -463,7 +463,7 @@ def test_violations_keep_their_labels_and_order(monkeypatch, sweep, args, weight
     monkeypatch.setattr(congruence, "_sp_range", _corrupt(congruence._sp_range, weights))
     counter = congruence.count_two_size_odd_partitions
     monkeypatch.setattr(congruence, "count_two_size_odd_partitions", lambda n: counter(n) + (n in weights))
-    monkeypatch.setattr(cli, "functional_equation_residual", _corrupt(cli.functional_equation_residual, weights))
+    monkeypatch.setattr(series, "functional_equation_residual", _corrupt(series.functional_equation_residual, weights))
     oracle = enumeration.oracle_oc
     monkeypatch.setattr(enumeration, "oracle_oc", lambda n, m: oracle(n, m)[n in weights:])
     # sp only at multiples of m, the weights scaled by m^j with j >= 1:

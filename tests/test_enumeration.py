@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -319,3 +320,56 @@ def test_public_names_are_used():
         words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     unused = sorted(set(semipell.__all__) - words)
     assert not unused, unused
+
+
+# the package's public names, by defining module, written out apart from
+# the package's own table
+PUBLIC_NAMES = {
+    "bijection": ["from_oc", "roundtrip_check", "to_oc"],
+    "congruence": [
+        "check_mod3",
+        "check_mod4_base",
+        "check_mod4_general",
+        "check_ob_parity",
+        "check_oddness",
+        "check_partial_sum_mod3",
+        "check_special_cases",
+        "count_two_size_odd_partitions",
+    ],
+    "core": [
+        "NOT_DISTINCT",
+        "NOT_UNIMODAL",
+        "SearchBoundExceeded",
+        "is_semi_m_pell",
+        "max_m_power",
+        "membership_failure",
+        "runform_failure",
+        "runform_parts",
+        "tau1",
+        "tau2",
+        "tau3",
+        "validate_runform",
+    ],
+    "enumeration": ["ENUMERATION_LIMIT", "enumerate_oc", "enumerate_sp", "oracle_agreement", "oracle_oc", "oracle_sp"],
+    "recurrence": ["check_plateau_identity", "check_scaling_identity", "sp", "sp_table"],
+    "report": ["CongruenceReport"],
+    "series": ["functional_equation_residual", "qm_peak_terms", "qm_series"],
+}
+
+
+def test_package_namespace():
+    # the package loads its modules on first use but keeps the surface it
+    # had when it imported them all up front
+    names = sorted(name for group in PUBLIC_NAMES.values() for name in group)
+    assert len(names) == 37
+    assert semipell.__all__ == names
+    for module, group in PUBLIC_NAMES.items():
+        defining = importlib.import_module(f"semipell.{module}")
+        for name in group:
+            assert getattr(semipell, name) is getattr(defining, name), name
+    star = {}
+    exec("from semipell import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
+    assert set(names) <= set(dir(semipell))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(semipell, "no_such_name")

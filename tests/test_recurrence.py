@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,7 +72,9 @@ def test_warm_cache_matches_cold():
     warm = [sp(n, 3) for n in range(0, 300)]
     warm_again = [sp(n, 3) for n in range(0, 300)]
     code = "from semipell.recurrence import sp; print([sp(n, 3) for n in range(300)])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     cold = json.loads(proc.stdout)
     assert warm == warm_again == cold == _sp_range(299, 3)
     state = {
