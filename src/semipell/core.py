@@ -24,6 +24,7 @@ Everything here is exact integer arithmetic, no floats anywhere.
 
 from __future__ import annotations
 
+from itertools import chain, repeat, starmap
 from typing import List, Optional, Sequence, Tuple
 
 # A composition is a tuple of positive parts; a run form is a tuple of
@@ -175,7 +176,7 @@ def tau3(composition: Sequence[int], m: int) -> Composition:
 
 def runform_parts(runs: RunForm) -> Composition:
     """Flatten a run form into its underlying part sequence."""
-    return tuple(base for base, mult in runs for _ in range(mult))
+    return tuple(chain.from_iterable(starmap(repeat, runs)))
 
 
 def runform_failure(runs: Sequence[Tuple[int, int]], m: int) -> Optional[str]:

@@ -13,9 +13,18 @@ weight n with residue r = n mod m:
 The three sources in the second branch are pairwise disjoint; that is
 checked during generation and a duplicate is a hard failure (a
 RuntimeError, also under python -O), as is an object of weight n - m
-without exactly one residue piece.  The memo keeps each weight's
-members in order: compositions lexicographically, sorted once when
-built; run forms by their flattened parts, with no sort at all.
+without exactly one residue piece at one of its ends.  In a member of
+weight n - m the residue piece is the one part not divisible by m, so
+its max m-power, 1, is the smallest, and a strictly unimodal sequence
+holds its minimum only at its first or last place; the run of ones of
+a run form has the smallest base for the same reason.  So each piece
+is grown at the end where it sits, and the check takes two steps: one
+count over the parts (or run bases) of the whole weight, which must
+equal the number of objects, and a test of each object's two ends.
+Every object then holds one residue piece at an end and no second one
+anywhere.  The memo keeps each weight's members in order: compositions
+lexicographically, sorted once when built; run forms by their
+flattened parts, with no sort at all.
 
 Run forms come out in order because every source keeps the order of
 the list it is built from.  Scaling multiplies every part by m.
@@ -27,8 +36,10 @@ runs, still do afterwards.  So the grown forms are already in order,
 those that start with their run of ones first, and the three sorted
 lists need only a merge.  Runs are shared, not copied: a scaled run is
 built once per distinct run of the lighter weight, a grown run of ones
-once per multiplicity and the glued run once per weight, so generating
-the forms allocates little beyond the form tuples themselves.
+once per multiplicity and the glued run once per weight.  Scaled and
+glued objects are built by map, one tuple each, and a grown one by a
+slice and a concatenation, so generating either family allocates little
+beyond the objects themselves.
 
 Two oracles cross-check the generators by raw search that shares none
 of the construction logic.  oracle_sp grows compositions of n part by
@@ -43,10 +54,10 @@ refuse weights above a hard bound rather than grind.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from functools import lru_cache
-from operator import itemgetter
+from itertools import chain, product, repeat
+from operator import countOf, itemgetter, mod
 from typing import List
 
 from .core import (
@@ -74,16 +85,21 @@ def _sp_members(n: int, m: int) -> tuple:
     if n < m:
         return ((n,),)
     if n % m == 0:
-        return tuple(tuple(p * m for p in c) for c in _sp_members(n // m, m))
+        return tuple(map(tuple, map(map, repeat(m.__mul__), _sp_members(n // m, m))))
     r = n % m
     shorter = _sp_members(n - r, m)
-    out = [(r,) + c for c in shorter] + [c + (r,) for c in shorter]
-    for c in _sp_members(n - m, m):
-        residue_at = [i for i, p in enumerate(c) if p % m == r]
-        if len(residue_at) != 1:
+    out = [*map((r,).__add__, shorter), *map(tuple.__add__, shorter, repeat((r,)))]
+    lower = _sp_members(n - m, m)
+    if countOf(map(mod, chain.from_iterable(lower), repeat(m)), r) != len(lower):
+        raise RuntimeError(f"a weight {n - m} member lacks a unique residue part")
+    grow = {p: (p + m,) for p in range(r, n - m + 1, m)}  # residue part p, grown
+    for c in lower:
+        if c[0] in grow:
+            out.append(grow[c[0]] + c[1:])
+        elif c[-1] in grow:
+            out.append(c[:-1] + grow[c[-1]])
+        else:
             raise RuntimeError(f"weight {n - m} member {c} lacks a unique residue part")
-        i = residue_at[0]
-        out.append(c[:i] + (c[i] + m,) + c[i + 1 :])
     if len(set(out)) != len(out):
         raise RuntimeError(f"construction sources overlap at n={n}, m={m}")
     out.sort()
@@ -120,46 +136,49 @@ def _oc_members(n: int, m: int) -> tuple:
         return (((1, n),),)
     if n % m == 0:
         lighter = _oc_members(n // m, m)
-        scaled = {run: (run[0] * m, run[1]) for run in set(itertools.chain.from_iterable(lighter))}
-        scale = scaled.__getitem__
-        return tuple([tuple(map(scale, rf)) for rf in lighter])
+        scaled = {run: (run[0] * m, run[1]) for run in set(chain.from_iterable(lighter))}
+        return tuple(map(tuple, map(map, repeat(scaled.__getitem__), lighter)))
     r = n % m
     glue = ((1, r),)
     shorter = _oc_members(n - r, m)
+    lower = _oc_members(n - m, m)
+    if countOf(map(_run_base, chain.from_iterable(lower)), 1) != len(lower):
+        raise RuntimeError(f"a weight {n - m} run form lacks a unique run of ones")
+    grow = {u: ((1, u + m),) for u in range(r, n - m + 1, m)}  # run of u ones, grown
     leading: List[RunForm] = []  # grown forms that start with their run of ones
     trailing: List[RunForm] = []  # grown forms that do not
-    grown_runs = {}
-    for rf in _oc_members(n - m, m):
-        bases = [*map(_run_base, rf)]
-        if bases.count(1) != 1:
-            raise RuntimeError(f"weight {n - m} run form {rf} lacks a unique run of ones")
-        i = bases.index(1)
-        u = rf[i][1]
-        grown = grown_runs.get(u)
-        if grown is None:
-            grown = grown_runs[u] = (1, u + m)
-        if i == 0:
-            leading.append((grown,) + rf[1:])
+    for rf in lower:
+        if rf[0][0] == 1:
+            leading.append(grow[rf[0][1]] + rf[1:])
+        elif rf[-1][0] == 1:
+            trailing.append(rf[:-1] + grow[rf[-1][1]])
         else:
-            trailing.append(rf[:i] + (grown,) + rf[i + 1 :])
+            raise RuntimeError(f"weight {n - m} run form {rf} lacks a unique run of ones")
     # A leading run of ones longer than r sorts before the front-glued
     # forms, whose r ones meet a base of at least m; every other form
     # starts with a base of at least m.  So the order is the leading
     # grown forms, then the front-glued ones, then the back-glued ones
     # merged into the trailing grown ones.  The back-glued forms are few,
-    # sp(n - r) = sp((n - r) / m) of them, so each is placed by a
-    # bisection from where the last one went, and only those probes
-    # compute a sort key.
+    # sp(n - r) = sp((n - r) / m) of them, so each is placed by galloping
+    # from where the last one went, in steps of 1, 2, 4, ... forms, and
+    # bisecting the last step; only those probes compute a sort key.
     out = leading
-    out += [glue + rf for rf in shorter]
-    lo = 0
+    out += map(glue.__add__, shorter)
+    at = 0  # where the last back-glued form went
     for rf in shorter:
         glued = rf + glue
-        hi = bisect_left(trailing, _runform_order(glued), lo, key=_runform_order)
-        out += trailing[lo:hi]
+        key = _runform_order(glued)
+        lo = hi = at
+        step = 1
+        while hi < len(trailing) and _runform_order(trailing[hi]) < key:
+            lo = hi + 1
+            hi += step
+            step += step
+        hi = bisect_left(trailing, key, lo, min(hi, len(trailing)), key=_runform_order)
+        out += trailing[at:hi]
         out.append(glued)
-        lo = hi
-    out += trailing[lo:]
+        at = hi
+    out += trailing[at:]
     if len(set(out)) != len(out):
         raise RuntimeError(f"construction sources overlap at n={n}, m={m}")
     return tuple(out)
@@ -242,7 +261,7 @@ def oracle_oc(n: int, m: int) -> List[RunForm]:
         if remaining == 0 and chosen:
             peak = chosen[-1]
             rest = chosen[:-1]
-            for sides in itertools.product((0, 1), repeat=len(rest)):
+            for sides in product((0, 1), repeat=len(rest)):
                 left = tuple(run for run, s in zip(rest, sides) if s == 0)
                 right = tuple(run for run, s in zip(rest, sides) if s == 1)
                 found.append(left + (peak,) + right[::-1])

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import re
 from pathlib import Path
@@ -210,6 +211,29 @@ def test_members_come_in_flattened_order():
             assert forms == sorted(forms, key=runform_parts), (n, m)
 
 
+# sha256 of the reprs of every list for n = 0..n_max, in order, cut to
+# 32 hex digits, so that any change of content or order fails
+GENERATOR_DIGESTS = {
+    ("sp", 2, 100): "22440ede99a37d826d8bbc4c0a41c1d9",
+    ("sp", 3, 60): "0f6bd9d76550e2c9441a2b23f347ec46",
+    ("sp", 4, 60): "80df2f6b93100223d657e767be07f5aa",
+    ("sp", 5, 60): "c9441a866ff84a344c8d5a6819f4457c",
+    ("oc", 2, 100): "409fbac491fd17d7e474e18a71754d44",
+    ("oc", 3, 60): "4e61a24831faf458c1c7ce624097092e",
+    ("oc", 4, 60): "90658cc1e1c55a22b82df60d9a362266",
+    ("oc", 5, 60): "99c8b83de90e8118b9ae236c1dcd62eb",
+}
+
+
+@pytest.mark.parametrize("side, m, n_max", sorted(GENERATOR_DIGESTS))
+def test_generator_output_digest(side, m, n_max):
+    generate = enumerate_sp if side == "sp" else enumerate_oc
+    digest = hashlib.sha256()
+    for n in range(n_max + 1):
+        digest.update(repr(generate(n, m)).encode())
+    assert digest.hexdigest()[:32] == GENERATOR_DIGESTS[side, m, n_max]
+
+
 def test_run_forms_share_their_runs():
     # runs are shared between forms, not copied: the forms of every
     # weight up to 100 hold only a few thousand distinct run objects,
@@ -244,27 +268,40 @@ def corrupt(monkeypatch):
         memo.cache_clear()
 
 
-# (memo, weight to corrupt, its members, message); at m = 2 weight 7 is
-# built from weights 6 and 5
+# (memo, m, weight to corrupt, its members, message); weight 7 is built
+# from weights 6 and 5 at m = 2, and from weights 6 and 4 at m = 3
 CORRUPTIONS = [
-    ("_sp_members", 6, [(2, 4), (2, 4), (4, 2), (6,)], "construction sources overlap"),
-    ("_sp_members", 6, [(1,), (2, 4), (4, 2), (6,)], "construction sources overlap"),
-    ("_sp_members", 5, [(1, 4), (1, 4), (5,)], "construction sources overlap"),
-    ("_sp_members", 5, [(1, 4), (2, 4), (5,)], "lacks a unique residue part"),
-    ("_sp_members", 5, [(1, 4), (1, 2, 1), (5,)], "lacks a unique residue part"),
-    ("_oc_members", 6, [((2, 3),), ((2, 3),), ((4, 1), (2, 1))], "construction sources overlap"),
-    ("_oc_members", 6, [((1, 1),), ((2, 3),), ((4, 1), (2, 1))], "construction sources overlap"),
-    ("_oc_members", 5, [((1, 5),), ((1, 5),), ((4, 1), (1, 1))], "construction sources overlap"),
-    ("_oc_members", 5, [((1, 5),), ((1, 1), (2, 1), (1, 1)), ((4, 1), (1, 1))], "lacks a unique run of ones"),
-    ("_oc_members", 5, [((1, 5),), ((2, 1), (4, 1)), ((4, 1), (1, 1))], "lacks a unique run of ones"),
+    ("_sp_members", 2, 6, [(2, 4), (2, 4), (4, 2), (6,)], "construction sources overlap"),
+    ("_sp_members", 2, 6, [(1,), (2, 4), (4, 2), (6,)], "construction sources overlap"),
+    ("_sp_members", 2, 5, [(1, 4), (1, 4), (5,)], "construction sources overlap"),
+    ("_sp_members", 2, 5, [(1, 4), (2, 4), (5,)], "lacks a unique residue part"),
+    ("_sp_members", 2, 5, [(1, 4), (1, 2, 1), (5,)], "lacks a unique residue part"),
+    ("_oc_members", 2, 6, [((2, 3),), ((2, 3),), ((4, 1), (2, 1))], "construction sources overlap"),
+    ("_oc_members", 2, 6, [((1, 1),), ((2, 3),), ((4, 1), (2, 1))], "construction sources overlap"),
+    ("_oc_members", 2, 5, [((1, 5),), ((1, 5),), ((4, 1), (1, 1))], "construction sources overlap"),
+    ("_oc_members", 2, 5, [((1, 5),), ((1, 1), (2, 1), (1, 1)), ((4, 1), (1, 1))], "lacks a unique run of ones"),
+    ("_oc_members", 2, 5, [((1, 5),), ((2, 1), (4, 1)), ((4, 1), (1, 1))], "lacks a unique run of ones"),
+    # one residue piece per member, but in the middle of one
+    ("_sp_members", 2, 5, [(1, 4), (2, 1, 2), (5,)], "lacks a unique residue part"),
+    ("_oc_members", 2, 5, [((1, 5),), ((2, 1), (1, 1), (2, 1)), ((4, 1), (1, 1))], "lacks a unique run of ones"),
+    # as many residue pieces as members, but none in one and two in the other
+    ("_sp_members", 3, 4, [(2, 2), (1, 2, 1)], "lacks a unique residue part"),
+    ("_oc_members", 3, 4, [((2, 2),), ((1, 1), (2, 1), (1, 1))], "lacks a unique run of ones"),
 ]
 
 
-@pytest.mark.parametrize("memo, weight, members, message", CORRUPTIONS)
-def test_generator_hard_failures(corrupt, memo, weight, members, message):
+@pytest.mark.parametrize(
+    "memo, m, weight, members, message",
+    CORRUPTIONS,
+    ids=[
+        f"{memo}-{weight}-members{i}-{message}" + (f"-m{m}" if m != 2 else "")
+        for i, (memo, m, weight, _, message) in enumerate(CORRUPTIONS)
+    ],
+)
+def test_generator_hard_failures(corrupt, memo, m, weight, members, message):
     build = corrupt(memo, weight, members)
     with pytest.raises(RuntimeError, match=message):
-        build(7, 2)
+        build(7, m)
 
 
 def test_returned_lists_are_fresh():
