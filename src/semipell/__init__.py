@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # Each public name, under the module that defines it: the one list of
 # the package's surface, from which __all__ and __getattr__ are derived.
 _EXPORTS = {
-    "bijection": ("from_oc", "roundtrip_check", "to_oc"),
+    "bijection": ("check_roundtrip", "from_oc", "roundtrip_check", "to_oc"),
     "congruence": (
         "check_mod3",
         "check_mod4_base",
@@ -55,7 +55,7 @@ _EXPORTS = {
     ),
     "recurrence": ("check_plateau_identity", "check_scaling_identity", "sp", "sp_table"),
     "report": ("CongruenceReport",),
-    "series": ("functional_equation_residual", "qm_peak_terms", "qm_series"),
+    "series": ("check_functional_equation", "functional_equation_residual", "qm_peak_terms", "qm_series"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .core import Composition, RunForm, _membership_scan, runform_failure
-from .enumeration import enumerate_oc, enumerate_sp
+from .core import Composition, RunForm, _membership_scan, check_bound, runform_failure
+from .enumeration import ENUMERATION_LIMIT, enumerate_oc, enumerate_sp
 from .report import CongruenceReport
 
 
@@ -53,6 +53,18 @@ def roundtrip_check(n: int, m: int) -> CongruenceReport:
     """
     report = CongruenceReport("roundtrip", {"n": n, "m": m})
     _record_roundtrip(report, n, m)
+    return report
+
+
+def check_roundtrip(m: int, n_max: int) -> CongruenceReport:
+    """roundtrip_check's three facts for every weight 0 <= n <= n_max, as one report.
+
+    n_max above ENUMERATION_LIMIT is refused before any weight is generated.
+    """
+    check_bound(n_max, ENUMERATION_LIMIT, "roundtrip n_max")
+    report = CongruenceReport("roundtrip", {"m": m, "n_max": n_max})
+    for n in range(n_max + 1):
+        _record_roundtrip(report, n, m)
     return report
 
 

@@ -7,16 +7,15 @@ exceeded, 4 the input was rejected as not belonging to the domain
 (for example a composition that is not semi-m-Pell handed to map).
 
 The bounds are fixed, and the library enforces most of them itself:
-enum and the oracle sweep stop at the search bounds of the enumeration
-module, table and the check sweeps refuse dense count ranges past
-recurrence.RANGE_LIMIT, funceq refuses orders above series.ORDER_LIMIT,
-ob-parity n above congruence.OB_PARITY_LIMIT, and scaling scaled
-weights above recurrence.COUNT_LIMIT.  This module adds three: count
-refuses n above recurrence.COUNT_LIMIT, series orders above
-series.ORDER_LIMIT, and roundtrip weights above
-enumeration.ENUMERATION_LIMIT, before generating any.  Each check
-family is its own sub-command, built from _check_table, so argparse
-refuses, as malformed usage, a flag the family does not read.
+enum, roundtrip and the oracle sweep stop at the search bounds of the
+enumeration module, table and the check sweeps refuse dense count
+ranges past recurrence.RANGE_LIMIT, funceq refuses orders above
+series.ORDER_LIMIT, ob-parity n above congruence.OB_PARITY_LIMIT, and
+scaling scaled weights above recurrence.COUNT_LIMIT.  This module adds
+two: count refuses n above recurrence.COUNT_LIMIT, and series orders
+above series.ORDER_LIMIT.  Each check family is its own sub-command,
+built from _check_table, so argparse refuses, as malformed usage, a
+flag the family does not read.
 
 At import this module loads only core, which holds the errors that
 main maps to exit codes.  Each command imports the library modules it
@@ -33,12 +32,9 @@ from __future__ import annotations
 import argparse
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import SearchBoundExceeded, check_bound
-
-if TYPE_CHECKING:
-    from .report import CongruenceReport
 
 
 def format_composition(parts: Sequence[int]) -> str:
@@ -167,71 +163,29 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mod4_report(n_max: int, m: int) -> CongruenceReport:
-    from .congruence import check_mod4_base
-
-    return check_mod4_base(n_max)
-
-
-def _ob_parity_report(n_max: int, m: int) -> CongruenceReport:
-    from .congruence import check_ob_parity
-
-    return check_ob_parity(n_max)
-
-
-def _scaling_report(m: int, j_max: int, v_max: Optional[int]) -> CongruenceReport:
-    from .recurrence import check_scaling_identity
-
-    return check_scaling_identity(m, j_max, m if v_max is None else v_max)
-
-
-def _roundtrip_report(m: int, n_max: int) -> CongruenceReport:
-    from .bijection import _record_roundtrip
-    from .enumeration import ENUMERATION_LIMIT
-    from .report import CongruenceReport
-
-    check_bound(n_max, ENUMERATION_LIMIT, "roundtrip n_max")
-    report = CongruenceReport("roundtrip", {"m": m, "n_max": n_max})
-    for n in range(n_max + 1):
-        _record_roundtrip(report, n, m)
-    return report
-
-
-def _funceq_report(m: int, order: int) -> CongruenceReport:
-    from .report import CongruenceReport
-    from .series import functional_equation_residual
-
-    report = CongruenceReport("funceq", {"m": m, "order": order})
-    residual = functional_equation_residual(m, order)
-    report.record_all(residual, [0] * len(residual), "n={}".format)
-    return report
-
-
 def _check_table() -> dict:
     """family -> ("module.function", ((flag, default, argparse keywords), ...)).
 
     Each family's sub-command takes exactly these flags, and their values
-    are the function's arguments, in order.  The function is named, not
-    bound: cmd_check imports its module (a library module, or "cli" for
-    a helper above) only when the family runs.
+    are the library function's arguments, in order.  The function is
+    named, not bound: cmd_check imports its module only when the family
+    runs.
     """
     count, modulus = {"type": _at_least(0)}, {"type": _at_least(2)}
-    # mod4 and ob-parity hold only at m = 2: they accept that modulus, then drop it
-    base_two = ("m", 2, {**modulus, "choices": (2,)})
     sides = {"choices": ("sp", "oc", "both"), "help": "which oracle comparison to run"}
     return {
         "oddness": ("congruence.check_oddness", (("nmax", 1000, count), ("m", 2, modulus))),
-        "mod4": ("cli._mod4_report", (("nmax", 500, count), base_two)),
+        "mod4": ("congruence.check_mod4_base", (("nmax", 500, count),)),
         "mod4-general": ("congruence.check_mod4_general", (("m", 2, modulus), ("jmax", 200, count))),
         "mod3": ("congruence.check_mod3", (("m", 4, modulus), ("jmax", 100, count))),
         "partial-sum": ("congruence.check_partial_sum_mod3", (("m", 4, modulus), ("jmax", 100, count))),
-        "ob-parity": ("cli._ob_parity_report", (("nmax", 1000, count), base_two)),
+        "ob-parity": ("congruence.check_ob_parity", (("nmax", 1000, count),)),
         "plateau": ("recurrence.check_plateau_identity", (("vmax", 100, count), ("m", 2, modulus))),
-        "scaling": ("cli._scaling_report", (("m", 2, modulus), ("jmax", 12, count), ("vmax", None, count))),
+        "scaling": ("recurrence.check_scaling_identity", (("m", 2, modulus), ("jmax", 12, count), ("vmax", None, count))),
         "special-cases": ("congruence.check_special_cases", (("jmax", 200, count),)),
-        "roundtrip": ("cli._roundtrip_report", (("m", 2, modulus), ("nmax", 20, count))),
+        "roundtrip": ("bijection.check_roundtrip", (("m", 2, modulus), ("nmax", 20, count))),
         "oracle": ("enumeration.oracle_agreement", (("m", 2, modulus), ("nmax", 20, count), ("side", "both", sides))),
-        "funceq": ("cli._funceq_report", (("m", 2, modulus), ("order", 256, count))),
+        "funceq": ("series.check_functional_equation", (("m", 2, modulus), ("order", 256, count))),
     }
 
 

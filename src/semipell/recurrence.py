@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb
 from operator import mul
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from .core import check_bound, check_modulus, check_nonneg
 from .report import CongruenceReport
@@ -176,7 +176,7 @@ def check_plateau_identity(v_max: int, m: int) -> CongruenceReport:
     return report
 
 
-def check_scaling_identity(m: int, j_max: int, v_max: int) -> CongruenceReport:
+def check_scaling_identity(m: int, j_max: int, v_max: Optional[int] = None) -> CongruenceReport:
     """Counts are m-adically self-similar.
 
     Two statements are swept for 0 <= j <= j_max.  First, multiplying
@@ -188,11 +188,14 @@ def check_scaling_identity(m: int, j_max: int, v_max: int) -> CongruenceReport:
     weights m^j * h with 1 <= h < m as the v = 0 case.  The scaled
     weights go through sp once per j; the plateau weights lead the
     admissible ones, so both statements read the same row.  The unscaled
-    counts come from the dense recurrence.  The largest scaled weight,
-    m^j_max * (m * v_max + m - 1), must stay within COUNT_LIMIT.
+    counts come from the dense recurrence.  v_max defaults to m, the
+    least bound that reaches the whole plateau.  The largest scaled
+    weight, m^j_max * (m * v_max + m - 1), must stay within COUNT_LIMIT.
     """
-    check_nonneg(v_max, "v_max")
     check_modulus(m)
+    if v_max is None:
+        v_max = m
+    check_nonneg(v_max, "v_max")
     top = m * v_max + m - 1
     check_bound(top, RANGE_LIMIT, "scaling top weight")
     j_limit, scaled = 0, top * m

@@ -34,9 +34,12 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import add, sub
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .core import check_bound, check_modulus, check_nonneg
+
+if TYPE_CHECKING:
+    from .report import CongruenceReport
 
 # The series costs O(order log order), milliseconds at this bound; the
 # residual sweep and the series command refuse orders above it.
@@ -117,3 +120,13 @@ def functional_equation_residual(m: int, order: int) -> List[int]:
         lhs[r] += 1
     rhs = _times_sparse(q_sub, [(0, 1), *((r, 2) for r in s), (m, -1)])
     return list(map(sub, lhs, rhs))
+
+
+def check_functional_equation(m: int, order: int) -> CongruenceReport:
+    """functional_equation_residual as a report: each coefficient n <= order must be 0."""
+    from .report import CongruenceReport  # here, so that the series command never loads report
+
+    report = CongruenceReport("funceq", {"m": m, "order": order})
+    residual = functional_equation_residual(m, order)
+    report.record_all(residual, [0] * len(residual), "n={}".format)
+    return report

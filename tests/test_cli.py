@@ -154,6 +154,17 @@ CHECK_DIGESTS = {
     ("special-cases",): ("bdee4d31f21e8ecf2defc3665e49cfc7989776ade8d7c257c91329557dab054c", 1),
     ("special-cases", "--jmax", "0"): ("3f9346852342b86446d3dd9c3cef0f39a908ef86b358cbb2fb0fcce8b203ddae", 1),
     ("special-cases", "--jmax", "999"): ("4c958db8c0b23d4d4c2976e87d4b25b2ff7e2ff1edc42fc2ab1c28588c294307", 1),
+    # recorded before every family became one library call: the other
+    # families at their defaults, scaling where --vmax falls back to --m
+    # (checked=78 at the defaults), and ob-parity at a second shape
+    ("scaling",): ("1512ffc02f8e72521a5a687399151c1c4e857765a2d83ca8480c79fc9100577e", 1),
+    ("scaling", "--m", "3", "--jmax", "4"): ("309eed1373e5c4a6b6a3754c652d0030cc90245ff2f48f30ca72729df18a61e1", 1),
+    ("roundtrip",): ("c998f5632989183e5e0609807bae55b2474a0f13abc004949273edb53ca375b0", 1),
+    ("funceq",): ("1f4482813231154f3563a4a972d8a7643706a0d71434621bec3b7564ea4226ba", 1),
+    ("ob-parity",): ("519ffc88926b8a631fd58142e90ce928fa294b5b5c1cb7ddbdd4d325adacf3d0", 1),
+    ("ob-parity", "--nmax", "11"): ("074fc90b3a364942d960be52bd479d21a2a9c7016f77a2fdf1e37ad220718ac8", 1),
+    ("plateau",): ("c86fd98e97c9c42cd566b677111749d0fac76ea81de4490f0e403f34d64e3f01", 1),
+    ("oracle",): ("87ec78fd30ddc18a3e90d32f494fb167e8392c0fb41bb53e27d9257ba81a0228", 1),
 }
 
 
@@ -245,26 +256,23 @@ def test_check_refuses_flags_the_family_does_not_read(capsys):
         (("check", "special-cases", "--m", "4"), "unrecognized arguments: --m 4"),
         (("check", "funceq", "--nmax", "5"), "unrecognized arguments: --nmax 5"),
         (("check", "roundtrip", "--order", "5"), "unrecognized arguments: --order 5"),
-        (("check", "mod4", "--m", "3"), "argument --m: invalid choice: 3"),
-        (("check", "ob-parity", "--m", "3"), "argument --m: invalid choice: 3"),
+        # mod4 and ob-parity hold only at m = 2, so they take no modulus at all
+        (("check", "mod4", "--m", "3"), "unrecognized arguments: --m 3"),
+        (("check", "mod4", "--m", "2", "--nmax", "3"), "unrecognized arguments: --m 2"),
+        (("check", "ob-parity", "--m", "2", "--nmax", "11"), "unrecognized arguments: --m 2"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and refusal in err, argv
-    # the base-two families accept their own modulus
-    code, out, _ = run(capsys, "check", "mod4", "--m", "2", "--nmax", "3")
-    assert code == 0 and out == "PASS mod4 checked=4\n"
-    code, out, _ = run(capsys, "check", "ob-parity", "--m", "2", "--nmax", "11")
-    assert code == 0 and out == "PASS ob-parity checked=6\n"
 
 
 # the flags each family reads, written out apart from the parser's table
 CHECK_FLAGS = {
     "oddness": {"nmax", "m"},
-    "mod4": {"nmax", "m"},
+    "mod4": {"nmax"},
     "mod4-general": {"m", "jmax"},
     "mod3": {"m", "jmax"},
     "partial-sum": {"m", "jmax"},
-    "ob-parity": {"nmax", "m"},
+    "ob-parity": {"nmax"},
     "plateau": {"vmax", "m"},
     "scaling": {"m", "jmax", "vmax"},
     "special-cases": {"jmax"},
@@ -446,6 +454,9 @@ COMMAND_MODULES = [
     (["series", "3", "40"], {"core", "series"}),
     (["map", "14,3,18,27", "3"], {"core", "enumeration", "report", "bijection"}),
     (["check", "roundtrip", "--nmax", "8"], {"core", "enumeration", "report", "bijection"}),
+    (["check", "funceq", "--order", "40"], {"core", "series", "report"}),
+    (["check", "scaling", "--jmax", "3"], {"core", "recurrence", "report"}),
+    (["check", "mod4", "--nmax", "20"], {"core", "recurrence", "report", "congruence"}),
 ]
 
 

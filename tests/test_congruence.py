@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semipell.bijection as bijection
-import semipell.cli as cli
 import semipell.congruence as congruence
 import semipell.enumeration as enumeration
 import semipell.recurrence as recurrence
@@ -21,7 +20,7 @@ from semipell.congruence import (
     count_two_size_odd_partitions,
 )
 from semipell.core import SearchBoundExceeded
-from semipell.enumeration import oracle_agreement
+from semipell.enumeration import ENUMERATION_LIMIT, oracle_agreement
 from semipell.recurrence import (
     RANGE_LIMIT,
     check_plateau_identity,
@@ -277,9 +276,11 @@ def test_sweeps_refuse_their_bound_before_any_work(monkeypatch):
     def reached(*args):
         raise Reached(args)
 
-    # the dense range, the parity counter and the series are the work
-    # each sweep would start; none of them may run past a bound
+    # the dense range, the parity counter, the series and the per-weight
+    # roundtrip are the work each sweep would start; none of them may run
+    # past a bound
     monkeypatch.setattr(recurrence, "_sp_range", reached)
+    monkeypatch.setattr(bijection, "_record_roundtrip", reached)
     monkeypatch.setattr(congruence, "_sp_range", reached)
     monkeypatch.setattr(congruence, "count_two_size_odd_partitions", reached)
     monkeypatch.setattr(series, "qm_series", reached)
@@ -301,6 +302,8 @@ def test_sweeps_refuse_their_bound_before_any_work(monkeypatch):
         (sp_table, (0, range(2, top + 3)), (0, range(2, top + 2))),
         (check_ob_parity, (OB_PARITY_LIMIT + 1,), (OB_PARITY_LIMIT,)),
         (functional_equation_residual, (2, ORDER_LIMIT + 1), (2, ORDER_LIMIT)),
+        (series.check_functional_equation, (2, ORDER_LIMIT + 1), (2, ORDER_LIMIT)),
+        (bijection.check_roundtrip, (2, ENUMERATION_LIMIT + 1), (2, ENUMERATION_LIMIT)),
     ]
     for fn, past, within in cases:
         with pytest.raises(SearchBoundExceeded, match="bound"):
@@ -428,7 +431,7 @@ FAULTS = [
         "  violation n=19: observed=0 expected=1",
         "  violation n=41: observed=1 expected=0",
     ]),
-    (cli._funceq_report, (3, 40), {0, 17, 40}, [
+    (series.check_functional_equation, (3, 40), {0, 17, 40}, [
         "FAIL funceq checked=41",
         "  violation n=0: observed=1 expected=0",
         "  violation n=17: observed=1 expected=0",
@@ -439,7 +442,7 @@ FAULTS = [
         "  violation oc:n=2: observed=1 expected=0",
         "  violation oc:n=5: observed=1 expected=0",
     ]),
-    (cli._roundtrip_report, (2, 6), {3, 6}, [
+    (bijection.check_roundtrip, (2, 6), {3, 6}, [
         "FAIL roundtrip checked=21",
         "  violation n=3:from_oc(to_oc): observed=1 expected=0",
         "  violation n=3:to_oc(from_oc): observed=1 expected=0",

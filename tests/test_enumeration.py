@@ -2,13 +2,14 @@ import ast
 import hashlib
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import semipell
-from semipell.core import SearchBoundExceeded, is_semi_m_pell, runform_parts, validate_runform
+from semipell.core import SearchBoundExceeded, is_semi_m_pell, runform_parts, tau1, tau2, tau3, validate_runform
 from semipell.enumeration import (
     ENUMERATION_LIMIT,
     enumerate_oc,
@@ -107,6 +108,43 @@ def test_exactly_one_residue_part_for_nonmultiples():
                 assert all(p % m == 0 for p in others)
                 if c[residue_at[0]] < m:
                     assert residue_at[0] in (0, len(c) - 1)
+
+
+def _tau_images(n, m):
+    """The members of weight n under the paper's reductions, each tagged by its branch.
+
+    When m divides n, tau3 divides every part by m.  Otherwise the one
+    residue part sits at an end: tau1 drops it when it is below m, and
+    the tag says which end it left; tau2 lowers it by m when it is not.
+    """
+    images = Counter()
+    for c in enumerate_sp(n, m):
+        if n % m == 0:
+            images["tau3", tau3(c, m)] += 1
+            continue
+        at = 0 if c[0] % m else len(c) - 1
+        if c[at] < m:
+            images["front" if at == 0 else "back", tau1(c, m)] += 1
+        else:
+            images["tau2", tau2(c, at + 1, m)] += 1
+    return images
+
+
+def test_tau_reductions_split_each_weight_as_the_recurrence_counts():
+    # sp(n) = 2 sp(n - r) + sp(n - m) for n = mq + r, q >= 1, 0 < r < m,
+    # and sp(mq) = sp(q), each read as a bijection: the tagged images are
+    # every member of the smaller weights exactly once, a weight n - r
+    # member once per end.  Below m the one member (n) is a residue part
+    # whose two ends coincide, so the split starts at q = 1.
+    for m in (2, 3, 4, 5):
+        for n in range(m, 61):
+            r = n % m
+            if r:
+                expected = Counter((end, c) for c in enumerate_sp(n - r, m) for end in ("front", "back"))
+                expected.update(("tau2", c) for c in enumerate_sp(n - m, m))
+            else:
+                expected = Counter(("tau3", c) for c in enumerate_sp(n // m, m))
+            assert _tau_images(n, m) == expected, (n, m)
 
 
 def _unpruned_oracle_sp(n, m):
@@ -362,7 +400,7 @@ def test_public_names_are_used():
 # the package's public names, by defining module, written out apart from
 # the package's own table
 PUBLIC_NAMES = {
-    "bijection": ["from_oc", "roundtrip_check", "to_oc"],
+    "bijection": ["check_roundtrip", "from_oc", "roundtrip_check", "to_oc"],
     "congruence": [
         "check_mod3",
         "check_mod4_base",
@@ -390,15 +428,15 @@ PUBLIC_NAMES = {
     "enumeration": ["ENUMERATION_LIMIT", "enumerate_oc", "enumerate_sp", "oracle_agreement", "oracle_oc", "oracle_sp"],
     "recurrence": ["check_plateau_identity", "check_scaling_identity", "sp", "sp_table"],
     "report": ["CongruenceReport"],
-    "series": ["functional_equation_residual", "qm_peak_terms", "qm_series"],
+    "series": ["check_functional_equation", "functional_equation_residual", "qm_peak_terms", "qm_series"],
 }
 
 
 def test_package_namespace():
-    # the package loads its modules on first use but keeps the surface it
-    # had when it imported them all up front
+    # the package loads its modules on first use, and each public name is
+    # the object its defining module holds
     names = sorted(name for group in PUBLIC_NAMES.values() for name in group)
-    assert len(names) == 37
+    assert len(names) == 39
     assert semipell.__all__ == names
     for module, group in PUBLIC_NAMES.items():
         defining = importlib.import_module(f"semipell.{module}")

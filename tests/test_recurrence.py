@@ -124,6 +124,15 @@ def test_scaling_identity_report():
     assert sp(2**9 * 7, 2) == sp(7, 2) == 11
 
 
+def test_scaling_v_max_defaults_to_m():
+    for m in (2, 3, 7):
+        for j_max in (0, 5):
+            explicit = check_scaling_identity(m, j_max, m)
+            for report in (check_scaling_identity(m, j_max, None), check_scaling_identity(m, j_max)):
+                assert report.params == explicit.params == {"m": m, "j_max": j_max, "v_max": m}
+                assert report.lines() == explicit.lines()
+
+
 def test_cache_file_roundtrip(capsys):
     # the package stores no counts; the JSON record of `count` is their
     # text form, and it reads back exactly, also far beyond float range
