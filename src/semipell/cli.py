@@ -13,14 +13,16 @@ ranges past recurrence.RANGE_LIMIT, funceq refuses orders above
 series.ORDER_LIMIT, ob-parity n above congruence.OB_PARITY_LIMIT, and
 scaling scaled weights above recurrence.COUNT_LIMIT.  This module adds
 two: count refuses n above recurrence.COUNT_LIMIT, and series orders
-above series.ORDER_LIMIT.  Each check family is its own sub-command,
-built from _check_table, so argparse refuses, as malformed usage, a
-flag the family does not read.
+above series.ORDER_LIMIT.
 
-At import this module loads only core, which holds the errors that
-main maps to exit codes.  Each command imports the library modules it
-runs when it runs (count, for instance, loads recurrence and report and
-nothing else), because start-up is most of a short command's time.
+Each command, and each check family under it, is declared once in
+_COMMANDS, with its handler, help text and arguments, and argparse
+refuses, as malformed usage, a flag the family does not read.  Start-up
+is most of a short command's time, so a command builds only its own
+arguments, and imports the library modules it runs when it runs (count,
+for instance, loads recurrence and report and nothing else).  At import
+this module loads only core, which holds the errors main maps to exit
+codes.
 
 Compositions print as (1,2) and run forms as (1^3,2), with the
 multiplicity omitted when it is 1; the same syntax, minus the
@@ -163,91 +165,88 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_table() -> dict:
-    """family -> ("module.function", ((flag, default, argparse keywords), ...)).
-
-    Each family's sub-command takes exactly these flags, and their values
-    are the library function's arguments, in order.  The function is
-    named, not bound: cmd_check imports its module only when the family
-    runs.
-    """
-    count, modulus = {"type": _at_least(0)}, {"type": _at_least(2)}
-    sides = {"choices": ("sp", "oc", "both"), "help": "which oracle comparison to run"}
-    return {
-        "oddness": ("congruence.check_oddness", (("nmax", 1000, count), ("m", 2, modulus))),
-        "mod4": ("congruence.check_mod4_base", (("nmax", 500, count),)),
-        "mod4-general": ("congruence.check_mod4_general", (("m", 2, modulus), ("jmax", 200, count))),
-        "mod3": ("congruence.check_mod3", (("m", 4, modulus), ("jmax", 100, count))),
-        "partial-sum": ("congruence.check_partial_sum_mod3", (("m", 4, modulus), ("jmax", 100, count))),
-        "ob-parity": ("congruence.check_ob_parity", (("nmax", 1000, count),)),
-        "plateau": ("recurrence.check_plateau_identity", (("vmax", 100, count), ("m", 2, modulus))),
-        "scaling": ("recurrence.check_scaling_identity", (("m", 2, modulus), ("jmax", 12, count), ("vmax", None, count))),
-        "special-cases": ("congruence.check_special_cases", (("jmax", 200, count),)),
-        "roundtrip": ("bijection.check_roundtrip", (("m", 2, modulus), ("nmax", 20, count))),
-        "oracle": ("enumeration.oracle_agreement", (("m", 2, modulus), ("nmax", 20, count), ("side", "both", sides))),
-        "funceq": ("series.check_functional_equation", (("m", 2, modulus), ("order", 256, count))),
-    }
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    target, flags = _check_table()[args.family]
+    target, flags = _COMMANDS["check"][2][args.family]
     module, function = target.split(".")
     check = getattr(import_module(f".{module}", __package__), function)
-    report = check(*(getattr(args, flag) for flag, _, _ in flags))
+    report = check(*(getattr(args, flag[2:]) for flag, _, _ in flags))
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="semipell",
-        description="Count, enumerate and verify semi-m-Pell compositions.",
-    )
+_COUNT, _MODULUS = {"type": _at_least(0)}, {"type": _at_least(2)}
+_SIDES = {"choices": ("sp", "oc", "both"), "help": "which oracle comparison to run"}
+
+# command -> (handler, help, arguments), each argument (name, default, argparse
+# keywords); check has families in place of arguments, family ->
+# ("module.function", flags).  The flags' values are the function's arguments,
+# in order; the function is named, not bound, so its module loads when it runs.
+_COMMANDS: dict = {
+    "count": (cmd_count, "print sp(n, m)", (
+        ("n", None, _COUNT), ("m", None, _MODULUS),
+        ("--json", False, {"action": "store_true", "help": "emit one JSON record instead of text"}))),
+    "table": (cmd_table, "tab-separated counts, rows per modulus", (
+        ("n_max", None, _COUNT), ("m_min", None, _MODULUS), ("m_max", None, _MODULUS))),
+    "enum": (cmd_enum, "list all objects of one weight", (
+        ("n", None, _COUNT), ("m", None, _MODULUS), ("--side", "sp", {"choices": ("sp", "oc")}))),
+    "map": (cmd_map, "apply the bijection to one object", (
+        ("parts", None, {"help": "comma-separated parts, or runs like 1^3,2 with from-oc"}),
+        ("m", None, _MODULUS), ("--direction", "to-oc", {"choices": ("to-oc", "from-oc")}))),
+    "series": (cmd_series, "coefficients of the counting series", (("m", None, _MODULUS), ("order", None, _COUNT))),
+    "check": (cmd_check, "run one verification sweep", {
+        "oddness": ("congruence.check_oddness", (("--nmax", 1000, _COUNT), ("--m", 2, _MODULUS))),
+        "mod4": ("congruence.check_mod4_base", (("--nmax", 500, _COUNT),)),
+        "mod4-general": ("congruence.check_mod4_general", (("--m", 2, _MODULUS), ("--jmax", 200, _COUNT))),
+        "mod3": ("congruence.check_mod3", (("--m", 4, _MODULUS), ("--jmax", 100, _COUNT))),
+        "partial-sum": ("congruence.check_partial_sum_mod3", (("--m", 4, _MODULUS), ("--jmax", 100, _COUNT))),
+        "ob-parity": ("congruence.check_ob_parity", (("--nmax", 1000, _COUNT),)),
+        "plateau": ("recurrence.check_plateau_identity", (("--vmax", 100, _COUNT), ("--m", 2, _MODULUS))),
+        "scaling": ("recurrence.check_scaling_identity", (("--m", 2, _MODULUS), ("--jmax", 12, _COUNT), ("--vmax", None, _COUNT))),
+        "special-cases": ("congruence.check_special_cases", (("--jmax", 200, _COUNT),)),
+        "roundtrip": ("bijection.check_roundtrip", (("--m", 2, _MODULUS), ("--nmax", 20, _COUNT))),
+        "oracle": ("enumeration.oracle_agreement", (("--m", 2, _MODULUS), ("--nmax", 20, _COUNT), ("--side", "both", _SIDES))),
+        "funceq": ("series.check_functional_equation", (("--m", 2, _MODULUS), ("--order", 256, _COUNT))),
+    }),
+}
+
+
+def _named(argv: Sequence[str], table: dict) -> Optional[str]:
+    # argparse takes the first word that is not an option as the choice,
+    # and no name in a table starts with "-"
+    return next((word for word in argv if word in table), None)
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for argv, built from _COMMANDS.
+
+    Every command is registered, and every family when check runs, so
+    help, usage and "invalid choice" read the same whatever argv holds,
+    but only the command and family that argv names get their arguments.
+    """
+    parser = argparse.ArgumentParser(prog="semipell", description="Count, enumerate and verify semi-m-Pell compositions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="print sp(n, m)")
-    p.add_argument("n", type=_at_least(0))
-    p.add_argument("m", type=_at_least(2))
-    p.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("table", help="tab-separated counts, rows per modulus")
-    p.add_argument("n_max", type=_at_least(0))
-    p.add_argument("m_min", type=_at_least(2))
-    p.add_argument("m_max", type=_at_least(2))
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("enum", help="list all objects of one weight")
-    p.add_argument("n", type=_at_least(0))
-    p.add_argument("m", type=_at_least(2))
-    p.add_argument("--side", choices=("sp", "oc"), default="sp")
-    p.set_defaults(func=cmd_enum)
-
-    p = sub.add_parser("map", help="apply the bijection to one object")
-    p.add_argument("parts", help="comma-separated parts, or runs like 1^3,2 with from-oc")
-    p.add_argument("m", type=_at_least(2))
-    p.add_argument("--direction", choices=("to-oc", "from-oc"), default="to-oc")
-    p.set_defaults(func=cmd_map)
-
-    p = sub.add_parser("series", help="coefficients of the counting series")
-    p.add_argument("m", type=_at_least(2))
-    p.add_argument("order", type=_at_least(0))
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("check", help="run one verification sweep")
-    families = p.add_subparsers(dest="family", required=True)
-    for family, (_, flags) in _check_table().items():
-        f = families.add_parser(family)
-        for flag, default, keywords in flags:
-            f.add_argument(f"--{flag}", default=default, **keywords)
-        f.set_defaults(func=cmd_check)
-
+    command = _named(argv, _COMMANDS)
+    for name, (handler, text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=handler)
+        if name == command == "check":
+            families = p.add_subparsers(dest="family", required=True)
+            chosen = _named(argv, arguments)
+            for family, (_, flags) in arguments.items():
+                f = families.add_parser(family)
+                if family == chosen:
+                    for flag, default, keywords in flags:
+                        f.add_argument(flag, default=default, **keywords)
+        elif name == command:
+            for argument, default, keywords in arguments:
+                p.add_argument(argument, default=default, **keywords)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from semipell import ENUMERATION_LIMIT, bijection, congruence, sp
 from semipell.cli import (
-    _check_table,
+    _COMMANDS,
     build_parser,
     format_composition,
     format_runform,
@@ -86,7 +87,7 @@ def test_count_cache_roundtrip(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["counts.txt"]
     assert poisoned.read_text() == "2 7 12\n"
     # count takes no option that names a file
-    args = build_parser().parse_args(["count", "7", "2"])
+    args = build_parser(["count", "7", "2"]).parse_args(["count", "7", "2"])
     assert set(vars(args)) == {"command", "n", "m", "json", "func"}
 
 
@@ -283,13 +284,65 @@ CHECK_FLAGS = {
 
 
 def test_check_help_lists_only_the_family_flags(capsys):
-    assert set(_check_table()) == set(CHECK_FLAGS)
+    assert set(_COMMANDS["check"][2]) == set(CHECK_FLAGS)
     code, out, _ = run(capsys, "check", "--help")
     assert code == 0 and all(family in out for family in CHECK_FLAGS)
     for family, flags in CHECK_FLAGS.items():
         code, out, _ = run(capsys, "check", family, "--help")
         assert code == 0 and out.startswith(f"usage: semipell check {family} "), family
         assert set(re.findall(r"--(\w+)", out)) == flags | {"help"}, family
+
+
+# SHA-256 of the help text of every command and family, recorded before
+# the commands were declared in one table; COLUMNS fixes argparse's width
+HELP_DIGESTS = {
+    ("--help",): "9e7ae5a4a304f41a240191f9678c13b44f1bbfb2316f6402853dffca6da9bc55",
+    ("check", "--help"): "78e4145a7df7b220a16b1fc6370aa83e37df7131503d543fcdc256f827551cd0",
+    ("count", "--help"): "87b1798d93b457e23b2340feebd8a384d29d3f6b72bb8f49869d19ce988ad207",
+    ("table", "--help"): "a23a9f7d0254de9eddf4ff715f353faf585255f3ef355d09c1a55e6b11ac05c3",
+    ("enum", "--help"): "0b1d0ef9282b0bde4fc7b1dbfe85448f3abbeb9bccc2792de69d0da28427aa75",
+    ("map", "--help"): "1647269cc0d4afcb34990d97918653cf4e34706807b768bb6edbdc92e32bf2cc",
+    ("series", "--help"): "ee375ba301d54f8e0f44bd3d994bb838145ad188244300c8f48f01ba9d822fc3",
+    ("check", "oddness", "--help"): "917380c58dddd961eb45571259df8adebe363e4a2ab49c1c3b4c4b01ac4e901c",
+    ("check", "mod4", "--help"): "7a0504bdc58d89dba21ee394a3b957f6943b51030d8ad79690d502c758f8050f",
+    ("check", "mod4-general", "--help"): "ecc791f894d6a98cee6dbc06148b18f5d4b1b40518d24328295869ae0dc6b10e",
+    ("check", "mod3", "--help"): "959813822c7ce951264f70106f0b7896f35320a352ff1bc45b98aee372004f31",
+    ("check", "partial-sum", "--help"): "36e0dd12617c9ea43772c4f64891897a4acc5291bbc64ca94fd6233dd5b28b4a",
+    ("check", "ob-parity", "--help"): "9422fcd4baa91954398592547617d5096d17c6ca8789294d195aa5e99a511ed6",
+    ("check", "plateau", "--help"): "1f859d4b6fd818d72df62296eaf716c16e12d575b68d831cbc1f4973da3da5ad",
+    ("check", "scaling", "--help"): "a49a534f4015c0cc2e3fabc5f2f1ca6ac0a5b9f756586be8e9bba1e87f905b9c",
+    ("check", "special-cases", "--help"): "d0f0d5196c0fccd77456414dd2d0745bc643810938bd39df7921a52e9eef00cb",
+    ("check", "roundtrip", "--help"): "4b96f65407a6f5c79d425a13751bb86b96b3a9fe462472bd7047288946160712",
+    ("check", "oracle", "--help"): "6bca462b4cb89d879b7373fe63ae3784f11de4fba7bd30014c791b094207a801",
+    ("check", "funceq", "--help"): "b239c1ea1e604623af3036a7f3cdbac02c06abd883e8bfbc3fdfea7f9b84f8d1",
+}
+
+
+def test_help_is_frozen(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, digest in HELP_DIGESTS.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_each_command_adds_only_its_own_arguments(capsys, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(parser, *names, **keywords):
+        if names != ("-h", "--help"):
+            added.append(names[0])
+        return add_argument(parser, *names, **keywords)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    for argv, arguments in (
+        (["count", "5", "2"], ["n", "m", "--json"]),
+        (["check", "mod3", "--m", "4", "--jmax", "3"], ["--m", "--jmax"]),
+    ):
+        added.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert added == arguments, argv
 
 
 def test_bound_errors_exit_3(capsys):
