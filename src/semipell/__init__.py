@@ -32,6 +32,7 @@ _EXPORTS = {
         "count_two_size_odd_partitions",
     ),
     "core": (
+        "CongruenceReport",
         "NOT_DISTINCT",
         "NOT_UNIMODAL",
         "SearchBoundExceeded",
@@ -54,7 +55,6 @@ _EXPORTS = {
         "oracle_sp",
     ),
     "recurrence": ("check_plateau_identity", "check_scaling_identity", "sp", "sp_table"),
-    "report": ("CongruenceReport",),
     "series": ("check_functional_equation", "functional_equation_residual", "qm_peak_terms", "qm_series"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .core import Composition, RunForm, _membership_scan, check_bound, runform_failure
+from .core import Composition, CongruenceReport, RunForm, _membership_scan, check_bound, runform_failure
 from .enumeration import ENUMERATION_LIMIT, enumerate_oc, enumerate_sp
-from .report import CongruenceReport
 
 
 def to_oc(composition: Sequence[int], m: int) -> RunForm:

@@ -17,12 +17,14 @@ above series.ORDER_LIMIT.
 
 Each command, and each check family under it, is declared once in
 _COMMANDS, with its handler, help text and arguments, and argparse
-refuses, as malformed usage, a flag the family does not read.  Start-up
-is most of a short command's time, so a command builds only its own
-arguments, and imports the library modules it runs when it runs (count,
-for instance, loads recurrence and report and nothing else).  At import
-this module loads only core, which holds the errors main maps to exit
-codes.
+refuses, as malformed usage, a flag the family does not read.  A family
+names its function by its public name; the package's _MODULE_OF, the one
+record of where each public name lives, gives the module to load.
+Start-up is most of a short command's time, so a command builds only its
+own arguments, and imports the library modules it runs when it runs
+(count, for instance, loads recurrence and nothing else).  At import this
+module loads only core, which holds the errors main maps to exit codes
+and the report every check prints.
 
 Compositions print as (1,2) and run forms as (1^3,2), with the
 multiplicity omitted when it is 1; the same syntax, minus the
@@ -36,6 +38,7 @@ import sys
 from importlib import import_module
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from . import _MODULE_OF
 from .core import SearchBoundExceeded, check_bound
 
 
@@ -166,9 +169,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    target, flags = _COMMANDS["check"][2][args.family]
-    module, function = target.split(".")
-    check = getattr(import_module(f".{module}", __package__), function)
+    function, flags = _COMMANDS["check"][2][args.family]
+    check = getattr(import_module(f".{_MODULE_OF[function]}", __package__), function)
     report = check(*(getattr(args, flag[2:]) for flag, _, _ in flags))
     for line in report.lines():
         print(line)
@@ -180,8 +182,9 @@ _SIDES = {"choices": ("sp", "oc", "both"), "help": "which oracle comparison to r
 
 # command -> (handler, help, arguments), each argument (name, default, argparse
 # keywords); check has families in place of arguments, family ->
-# ("module.function", flags).  The flags' values are the function's arguments,
-# in order; the function is named, not bound, so its module loads when it runs.
+# (function, flags).  The flags' values are the function's arguments, in order;
+# the function is named by its public name, not bound, so the module that the
+# package's _MODULE_OF gives for it loads when it runs.
 _COMMANDS: dict = {
     "count": (cmd_count, "print sp(n, m)", (
         ("n", None, _COUNT), ("m", None, _MODULUS),
@@ -195,18 +198,18 @@ _COMMANDS: dict = {
         ("m", None, _MODULUS), ("--direction", "to-oc", {"choices": ("to-oc", "from-oc")}))),
     "series": (cmd_series, "coefficients of the counting series", (("m", None, _MODULUS), ("order", None, _COUNT))),
     "check": (cmd_check, "run one verification sweep", {
-        "oddness": ("congruence.check_oddness", (("--nmax", 1000, _COUNT), ("--m", 2, _MODULUS))),
-        "mod4": ("congruence.check_mod4_base", (("--nmax", 500, _COUNT),)),
-        "mod4-general": ("congruence.check_mod4_general", (("--m", 2, _MODULUS), ("--jmax", 200, _COUNT))),
-        "mod3": ("congruence.check_mod3", (("--m", 4, _MODULUS), ("--jmax", 100, _COUNT))),
-        "partial-sum": ("congruence.check_partial_sum_mod3", (("--m", 4, _MODULUS), ("--jmax", 100, _COUNT))),
-        "ob-parity": ("congruence.check_ob_parity", (("--nmax", 1000, _COUNT),)),
-        "plateau": ("recurrence.check_plateau_identity", (("--vmax", 100, _COUNT), ("--m", 2, _MODULUS))),
-        "scaling": ("recurrence.check_scaling_identity", (("--m", 2, _MODULUS), ("--jmax", 12, _COUNT), ("--vmax", None, _COUNT))),
-        "special-cases": ("congruence.check_special_cases", (("--jmax", 200, _COUNT),)),
-        "roundtrip": ("bijection.check_roundtrip", (("--m", 2, _MODULUS), ("--nmax", 20, _COUNT))),
-        "oracle": ("enumeration.oracle_agreement", (("--m", 2, _MODULUS), ("--nmax", 20, _COUNT), ("--side", "both", _SIDES))),
-        "funceq": ("series.check_functional_equation", (("--m", 2, _MODULUS), ("--order", 256, _COUNT))),
+        "oddness": ("check_oddness", (("--nmax", 1000, _COUNT), ("--m", 2, _MODULUS))),
+        "mod4": ("check_mod4_base", (("--nmax", 500, _COUNT),)),
+        "mod4-general": ("check_mod4_general", (("--m", 2, _MODULUS), ("--jmax", 200, _COUNT))),
+        "mod3": ("check_mod3", (("--m", 4, _MODULUS), ("--jmax", 100, _COUNT))),
+        "partial-sum": ("check_partial_sum_mod3", (("--m", 4, _MODULUS), ("--jmax", 100, _COUNT))),
+        "ob-parity": ("check_ob_parity", (("--nmax", 1000, _COUNT),)),
+        "plateau": ("check_plateau_identity", (("--vmax", 100, _COUNT), ("--m", 2, _MODULUS))),
+        "scaling": ("check_scaling_identity", (("--m", 2, _MODULUS), ("--jmax", 12, _COUNT), ("--vmax", None, _COUNT))),
+        "special-cases": ("check_special_cases", (("--jmax", 200, _COUNT),)),
+        "roundtrip": ("check_roundtrip", (("--m", 2, _MODULUS), ("--nmax", 20, _COUNT))),
+        "oracle": ("oracle_agreement", (("--m", 2, _MODULUS), ("--nmax", 20, _COUNT), ("--side", "both", _SIDES))),
+        "funceq": ("check_functional_equation", (("--m", 2, _MODULUS), ("--order", 256, _COUNT))),
     }),
 }
 

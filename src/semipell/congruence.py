@@ -5,12 +5,13 @@ counts from the recurrence (the two-size parity family over its own
 partition counter) and returns a CongruenceReport, recording each row as
 one batch through record_all; nothing here is proved, only verified
 instance by instance.  Each family's rows (stride, offset, modulus,
-residue) are declared once, in _family, and read by one progression sweep
-over one dense range (for the partial sums, its running sums); mod 4 at
-m = 2 and the special cases reuse those rows.  Each sweep refuses its
-input bound, a top weight past recurrence.RANGE_LIMIT or for the parity
-family an n past OB_PARITY_LIMIT, before it builds that range, its rows
-or counts anything.
+residue) are declared once, in _family, and read from there by _top, the
+largest weight they reach, and by _sweep, one progression sweep over one
+dense range (for the partial sums, its running sums), which walks the
+declaration row by row and never lists the rows; mod 4 at m = 2 and the
+special cases reuse those rows.  Each sweep refuses its input bound, a
+top weight past recurrence.RANGE_LIMIT or for the parity family an n
+past OB_PARITY_LIMIT, before it builds that range or counts anything.
 
   * oddness: sp(n, m) is odd for every n >= 0.
   * mod 4, base case m = 2: sp(2n + 1, 2) = 2n + 1 (mod 4).
@@ -33,18 +34,14 @@ or counts anything.
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import check_bound, check_modulus, check_nonneg
+from .core import CongruenceReport, check_bound, check_modulus, check_nonneg
 from .recurrence import RANGE_LIMIT, _sp_range
-from .report import CongruenceReport
 
 # The two-size parity counter takes O(log n) steps per n; the sweep
 # takes about 4 ms at this bound.
 OB_PARITY_LIMIT = 10**4
-
-# label prefix, stride, offset, residue modulus, expected residue
-Row = Tuple[str, int, int, int, int]
 
 
 def _family(family: str, m: int) -> Tuple[int, int, Sequence[int], Iterable[int]]:
@@ -62,15 +59,12 @@ def _family(family: str, m: int) -> Tuple[int, int, Sequence[int], Iterable[int]
     return m, 3, (1,), (1,)  # partial-sum
 
 
-def _rows(family: str, m: int) -> List[Row]:
-    """The rows of one family at modulus m, one per offset."""
-    stride, modulus, offsets, residues = _family(family, m)
-    return [("", stride, offset, modulus, residue) for offset, residue in zip(offsets, residues)]
-
-
-def _top(rows: Sequence[Row], j_max: int) -> int:
-    """The largest weight the rows reach for j <= j_max."""
-    return max(stride * j_max + offset for _, stride, offset, _, _ in rows)
+def _top(family: str, m: int, j_max: int, rows: Optional[int] = None) -> int:
+    """The largest weight that a family's rows at modulus m, or its first
+    rows only, reach for j <= j_max; j_max is checked after m."""
+    stride, _, offsets, _ = _family(family, m)
+    check_nonneg(j_max, "j_max")
+    return stride * j_max + offsets[:rows][-1]  # the offsets rise
 
 
 def _counts(report: CongruenceReport, m: int, top: int) -> List[int]:
@@ -79,25 +73,28 @@ def _counts(report: CongruenceReport, m: int, top: int) -> List[int]:
     return _sp_range(top, m)
 
 
-def _sweep(report: CongruenceReport, values: Sequence[int], rows: Iterable[Row], j_max: int) -> CongruenceReport:
+def _sweep(
+    report: CongruenceReport, values: Sequence[int], family: str, m: int, j_max: int, labels: Iterable[str] = repeat("")
+) -> CongruenceReport:
     """Record values[stride * j + offset] mod modulus == residue for j <= j_max.
 
-    One list of values, indexed by weight, serves every row; a row stops at
-    j_max or at the end of the list, and is one batch, labelled on failure.
+    One list of values, indexed by weight, serves every row of the family
+    at modulus m, or as many rows as there are labels, each label the prefix
+    of its row's instance names.  A row stops at j_max or at the end of the
+    list, and is one batch, labelled on failure.
     """
-    for row in rows:
-        label, stride, offset, modulus, residue = row
-        residues = [value % modulus for value in values[offset : _top([row], j_max) + 1 : stride]]
-        report.record_all(residues, [residue] * len(residues), lambda i: f"{label}n={offset + i * stride}")
+    stride, modulus, offsets, residues = _family(family, m)
+    for label, offset, residue in zip(labels, offsets, residues):
+        seen = [value % modulus for value in values[offset : stride * j_max + offset + 1 : stride]]
+        report.record_all(seen, [residue] * len(seen), lambda i: f"{label}n={offset + i * stride}")
     return report
 
 
 def check_oddness(n_max: int, m: int) -> CongruenceReport:
     """sp(n, m) mod 2 == 1 for 0 <= n <= n_max."""
     check_nonneg(n_max, "n_max")
-    rows = _rows("oddness", m)
     report = CongruenceReport("oddness", {"m": m, "n_max": n_max})
-    return _sweep(report, _counts(report, m, _top(rows, n_max)), rows, n_max)
+    return _sweep(report, _counts(report, m, _top("oddness", m, n_max)), "oddness", m, n_max)
 
 
 def check_mod4_base(n_max: int) -> CongruenceReport:
@@ -107,33 +104,26 @@ def check_mod4_base(n_max: int) -> CongruenceReport:
     """
     check_nonneg(n_max, "n_max")
     report = CongruenceReport("mod4", {"m": 2, "n_max": n_max})
-    return _sweep(report, _counts(report, 2, 2 * n_max + 1), _rows("mod4-general", 2), n_max)
+    return _sweep(report, _counts(report, 2, 2 * n_max + 1), "mod4-general", 2, n_max)
 
 
 def check_mod4_general(m: int, j_max: int) -> CongruenceReport:
     """sp(2mj + 1, m) == 1 and sp(2mj + m + 1, m) == 3 mod 4, j <= j_max."""
-    rows = _rows("mod4-general", m)
-    check_nonneg(j_max, "j_max")
     report = CongruenceReport("mod4-general", {"m": m, "j_max": j_max})
-    return _sweep(report, _counts(report, m, _top(rows, j_max)), rows, j_max)
+    return _sweep(report, _counts(report, m, _top("mod4-general", m, j_max)), "mod4-general", m, j_max)
 
 
 def check_mod3(m: int, j_max: int) -> CongruenceReport:
     """sp(m^2 j + m + r, m) divisible by 3 for j <= j_max, 1 <= r < m."""
-    stride, _, offsets, _ = _family("mod3", m)
-    check_nonneg(j_max, "j_max")
     report = CongruenceReport("mod3", {"m": m, "j_max": j_max})
-    counts = _counts(report, m, stride * j_max + offsets[-1])  # before its m - 1 rows exist
-    return _sweep(report, counts, _rows("mod3", m), j_max)
+    return _sweep(report, _counts(report, m, _top("mod3", m, j_max)), "mod3", m, j_max)
 
 
 def check_partial_sum_mod3(m: int, j_max: int) -> CongruenceReport:
     """Partial sums sp(1) + ... + sp(mj + 1) == 1 mod 3, j <= j_max."""
-    rows = _rows("partial-sum", m)
-    check_nonneg(j_max, "j_max")
     report = CongruenceReport("partial-sum", {"m": m, "j_max": j_max})
-    counts = _counts(report, m, _top(rows, j_max))
-    return _sweep(report, list(accumulate(counts[1:], initial=0)), rows, j_max)
+    counts = _counts(report, m, _top("partial-sum", m, j_max))
+    return _sweep(report, list(accumulate(counts[1:], initial=0)), "partial-sum", m, j_max)
 
 
 def count_two_size_odd_partitions(n: int) -> int:
@@ -187,14 +177,16 @@ def check_special_cases(j_max: int) -> CongruenceReport:
     each row stops at its own top.
     """
     check_nonneg(j_max, "j_max")
-    cases: Dict[int, List[Row]] = {}
+    tops: Dict[int, int] = {}
     for family, m, labels in SPECIAL_CASES:
-        for label, (_, *row) in zip(labels, _rows(family, m)):
-            cases.setdefault(m, []).append((f"({label}) ", *row))
-    tops = {m: _top(rows, j_max) for m, rows in cases.items()}
+        tops[m] = max(tops.get(m, 0), _top(family, m, j_max, len(labels)))
     # refuse the largest range before building any
     check_bound(max(tops.values()), RANGE_LIMIT, "special-cases top weight")
     report = CongruenceReport("special-cases", {"j_max": j_max})
-    for m, rows in cases.items():
-        _sweep(report, _counts(report, m, tops[m]), rows, j_max)
+    for m, top in tops.items():
+        counts = _counts(report, m, top)
+        for family, modulus, labels in SPECIAL_CASES:
+            if modulus == m:
+                _sweep(report, counts, family, m, j_max, (f"({label}) " for label in labels))
+        del counts  # so that the next modulus's range is built with this one gone
     return report

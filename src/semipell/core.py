@@ -20,12 +20,17 @@ preserving membership: tau1 deletes a boundary part smaller than m,
 tau2 subtracts m from a chosen part that exceeds m and is not divisible
 by m, and tau3 divides every part by m when all parts are multiples.
 Everything here is exact integer arithmetic, no floats anywhere.
+
+Every module also takes from here the input checks and errors its
+functions raise, and CongruenceReport, the result of every identity and
+congruence sweep.  A report never raises on a failed instance; callers
+decide whether a violation is fatal.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat, starmap
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 # A composition is a tuple of positive parts; a run form is a tuple of
 # (base, multiplicity) pairs.  Plain tuples keep the combinatorics cheap
@@ -35,6 +40,9 @@ RunForm = Tuple[Tuple[int, int], ...]
 
 NOT_DISTINCT = "max m-powers not distinct"
 NOT_UNIMODAL = "max m-powers not unimodal"
+
+# (instance label, observed value, expected value)
+Violation = Tuple[str, int, int]
 
 
 def check_modulus(m: int) -> None:
@@ -62,6 +70,44 @@ def check_bound(value: int, limit: int, what: str) -> None:
     check_nonneg(value, what)
     if value > limit:
         raise SearchBoundExceeded(f"{what} refuses {value}, bound is {limit}")
+
+
+class CongruenceReport:
+    """Pass/fail record of one sweep over a finite family of instances."""
+
+    def __init__(self, family: str, params: Dict[str, object]) -> None:
+        self.family = family
+        self.params = params
+        self.checked = 0
+        self.violations: List[Violation] = []
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def record_all(self, observed: Sequence[int], expected: Sequence[int], label: Callable[[int], str]) -> None:
+        """Count every instance of a batch: observed[i] against expected[i].
+
+        The batch is compared in one pass; label(i) names instance i and is
+        called only for a violation, which keeps the order of the batch.
+        """
+        if len(observed) != len(expected):
+            raise ValueError(f"batch of {len(observed)} observed against {len(expected)} expected")
+        self.checked += len(observed)
+        if observed != expected:
+            self.violations += [
+                (label(i), seen, want) for i, (seen, want) in enumerate(zip(observed, expected)) if seen != want
+            ]
+
+    def summary(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return f"{status} {self.family} checked={self.checked}"
+
+    def lines(self) -> List[str]:
+        out = [self.summary()]
+        for label, observed, expected in self.violations:
+            out.append(f"  violation {label}: observed={observed} expected={expected}")
+        return out
 
 
 def max_m_power(n: int, m: int) -> int:

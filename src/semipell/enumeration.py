@@ -62,13 +62,13 @@ from typing import List
 
 from .core import (
     Composition,
+    CongruenceReport,
     RunForm,
     check_bound,
     check_modulus,
     is_semi_m_pell,
     runform_parts,
 )
-from .report import CongruenceReport
 
 # Hard input bounds.  The pruned composition search visits only member
 # prefixes, a few milliseconds at 40; the run-form search and the
@@ -295,7 +295,7 @@ def oracle_agreement(m: int, n_max: int, side: str = "both") -> CongruenceReport
         check_bound(n_max, SP_ORACLE_LIMIT, "oracle_sp weight")
     if side in ("oc", "both"):
         check_bound(n_max, OC_ORACLE_LIMIT, "oracle_oc weight")
-    report = CongruenceReport("oracle", {"m": m, "n_max": n_max})
+    report = CongruenceReport("oracle", {"m": m, "n_max": n_max, "side": side})
     pairs = {"sp": (enumerate_sp, oracle_sp), "oc": (enumerate_oc, oracle_oc)}
     sides = ("sp", "oc") if side == "both" else (side,)
     diffs = [

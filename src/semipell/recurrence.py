@@ -34,8 +34,7 @@ from math import comb
 from operator import mul
 from typing import List, Optional, Sequence
 
-from .core import check_bound, check_modulus, check_nonneg
-from .report import CongruenceReport
+from .core import CongruenceReport, check_bound, check_modulus, check_nonneg
 
 # Hard input bounds.  A point count costs a polynomial in the number of
 # base-m digits of n, under a second at COUNT_LIMIT, the largest weight

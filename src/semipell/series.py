@@ -27,19 +27,17 @@ s(x) = x + ... + x^(m-1),
     (1 - x^m) Q_m(x) + s(x) = (1 + 2 s(x) - x^m) Q_m(x^m),
 
 and functional_equation_residual returns the truncated difference of
-the two sides, which must vanish identically.
+the two sides, which must vanish identically; check_functional_equation
+records it as a CongruenceReport from core, one instance a coefficient.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from operator import add, sub
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .core import check_bound, check_modulus, check_nonneg
-
-if TYPE_CHECKING:
-    from .report import CongruenceReport
+from .core import CongruenceReport, check_bound, check_modulus, check_nonneg
 
 # The series costs O(order log order), milliseconds at this bound; the
 # residual sweep and the series command refuse orders above it.
@@ -124,8 +122,6 @@ def functional_equation_residual(m: int, order: int) -> List[int]:
 
 def check_functional_equation(m: int, order: int) -> CongruenceReport:
     """functional_equation_residual as a report: each coefficient n <= order must be 0."""
-    from .report import CongruenceReport  # here, so that the series command never loads report
-
     report = CongruenceReport("funceq", {"m": m, "order": order})
     residual = functional_equation_residual(m, order)
     report.record_all(residual, [0] * len(residual), "n={}".format)

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import semipell
 from semipell import ENUMERATION_LIMIT, bijection, congruence, sp
 from semipell.cli import (
     _COMMANDS,
@@ -293,6 +295,18 @@ def test_check_help_lists_only_the_family_flags(capsys):
         assert set(re.findall(r"--(\w+)", out)) == flags | {"help"}, family
 
 
+def test_check_table_follows_each_function_signature():
+    # cmd_check passes a family's flag values positionally, so the flags
+    # must be the function's parameters in order, and a report's params
+    # must name every input of its sweep
+    for family, (function, flags) in _COMMANDS["check"][2].items():
+        check = getattr(semipell, function)
+        parameters = list(inspect.signature(check).parameters)
+        assert [name.replace("_", "") for name in parameters] == [flag[2:] for flag, _, _ in flags], family
+        small = [default if flag in ("--m", "--side") or default is None else min(default, 3) for flag, default, _ in flags]
+        assert set(parameters) <= set(check(*small).params), family
+
+
 # SHA-256 of the help text of every command and family, recorded before
 # the commands were declared in one table; COLUMNS fixes argparse's width
 HELP_DIGESTS = {
@@ -451,7 +465,7 @@ def test_scaling_limit(capsys):
 
 
 def test_check_failure_exits_1(capsys, monkeypatch):
-    from semipell.report import CongruenceReport
+    from semipell import CongruenceReport
 
     def broken(n_max, m):
         report = CongruenceReport("oddness", {"m": m, "n_max": n_max})
@@ -491,25 +505,25 @@ def _loaded_after(code):
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # start-up is most of a short command's time; dataclasses pulls in
-    # inspect, which alone takes longer to import than core, report and
-    # recurrence together
+    # inspect, which alone takes longer to import than core and recurrence
+    # together
     assert {"dataclasses", "inspect"}.isdisjoint(_loaded_after("import sys, semipell.cli"))
 
 
 # the library modules each command runs, beyond semipell and semipell.cli
 COMMAND_MODULES = [
-    (["count", "5", "2"], {"core", "recurrence", "report"}),
-    (["count", "5", "2", "--json"], {"core", "recurrence", "report"}),
-    (["table", "9", "2", "3"], {"core", "recurrence", "report"}),
-    (["check", "plateau", "--vmax", "5"], {"core", "recurrence", "report"}),
-    (["enum", "5", "2", "--side", "oc"], {"core", "enumeration", "report"}),
-    (["check", "oracle", "--nmax", "8"], {"core", "enumeration", "report"}),
+    (["count", "5", "2"], {"core", "recurrence"}),
+    (["count", "5", "2", "--json"], {"core", "recurrence"}),
+    (["table", "9", "2", "3"], {"core", "recurrence"}),
+    (["check", "plateau", "--vmax", "5"], {"core", "recurrence"}),
+    (["enum", "5", "2", "--side", "oc"], {"core", "enumeration"}),
+    (["check", "oracle", "--nmax", "8"], {"core", "enumeration"}),
     (["series", "3", "40"], {"core", "series"}),
-    (["map", "14,3,18,27", "3"], {"core", "enumeration", "report", "bijection"}),
-    (["check", "roundtrip", "--nmax", "8"], {"core", "enumeration", "report", "bijection"}),
-    (["check", "funceq", "--order", "40"], {"core", "series", "report"}),
-    (["check", "scaling", "--jmax", "3"], {"core", "recurrence", "report"}),
-    (["check", "mod4", "--nmax", "20"], {"core", "recurrence", "report", "congruence"}),
+    (["map", "14,3,18,27", "3"], {"core", "enumeration", "bijection"}),
+    (["check", "roundtrip", "--nmax", "8"], {"core", "enumeration", "bijection"}),
+    (["check", "funceq", "--order", "40"], {"core", "series"}),
+    (["check", "scaling", "--jmax", "3"], {"core", "recurrence"}),
+    (["check", "mod4", "--nmax", "20"], {"core", "recurrence", "congruence"}),
 ]
 
 

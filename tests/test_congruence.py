@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,17 +191,35 @@ def test_special_cases_build_one_range_per_modulus(monkeypatch):
         assert built == [(3, 6 * j + 4), (4, 16 * j + 5), (7, 49 * j + 8), (10, 100 * j + 11)]
 
 
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_special_cases_keep_one_range_alive():
+    # the mod 3 sweep at m = 10 builds the largest of the special cases'
+    # ranges; holding the previous modulus's range while the next is built
+    # would put the special cases near 1.5 times its peak
+    j = 500
+    assert _traced_peak(check_special_cases, j) <= 1.1 * _traced_peak(check_mod3, 10, j)
+
+
 def test_special_cases_read_the_family_rows(monkeypatch):
-    rows = congruence._rows
+    declared = congruence._family
 
     def patched(family, m):
-        declared = rows(family, m)
+        stride, modulus, offsets, residues = declared(family, m)
         if (family, m) == ("mod3", 7):
-            *row, _ = declared[0]
-            declared[0] = (*row, 1)  # sp(49j + 8, 7) == 1 (mod 3): false
-        return declared
+            # sp(49j + 8, 7) == 1 (mod 3): false; the declared residues
+            # repeat without end, so take only as many as there are rows
+            residues = [1, *islice(residues, 1, len(offsets))]
+        return stride, modulus, offsets, residues
 
-    monkeypatch.setattr(congruence, "_rows", patched)
+    monkeypatch.setattr(congruence, "_family", patched)
     j_max = 4
     weights = [49 * j + 8 for j in range(j_max + 1)]
     assert [label for label, _, _ in check_mod3(7, j_max).violations] == [f"n={n}" for n in weights]

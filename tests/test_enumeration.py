@@ -412,6 +412,7 @@ PUBLIC_NAMES = {
         "count_two_size_odd_partitions",
     ],
     "core": [
+        "CongruenceReport",
         "NOT_DISTINCT",
         "NOT_UNIMODAL",
         "SearchBoundExceeded",
@@ -427,7 +428,6 @@ PUBLIC_NAMES = {
     ],
     "enumeration": ["ENUMERATION_LIMIT", "enumerate_oc", "enumerate_sp", "oracle_agreement", "oracle_oc", "oracle_sp"],
     "recurrence": ["check_plateau_identity", "check_scaling_identity", "sp", "sp_table"],
-    "report": ["CongruenceReport"],
     "series": ["check_functional_equation", "functional_equation_residual", "qm_peak_terms", "qm_series"],
 }
 
