@@ -1,30 +1,33 @@
 """Exhaustive generation of semi-m-Pell compositions and run forms.
 
-Two generators build the families by the defining recursion.  For a
-weight n with residue r = n mod m:
+Two generators build the families from smaller weights.  When m
+divides the weight n, both scale every object of weight n // m by m
+(multiply each part, or each run base, by m).  For n = mq + r with
+0 < r < m they differ.
 
-  * r == 0: scale every object of weight n // m by m (multiply each
-    part, or each run base, by m);
-  * r != 0: either glue a residue piece (the part r, or a run of r
-    ones) to the front or the back of an object of weight n - r, or
-    grow the unique residue piece of an object of weight n - m by m
-    (add m to the part, or m more ones to the run of ones).
+Compositions follow the plateau identity sp(mq + r) = 1 + 2(sp(1) +
+... + sp(q)).  A member is (n) itself, or the part n - w glued to the
+front or the back of a member of weight w = m, 2m, ..., mq.  A member
+of weight w is m times a member of weight w // m, so the glued part is
+the one part not divisible by m, and its size and end tell the sources
+apart.  Each source is built by map, one tuple per member, and the
+weight's list is sorted once, lexicographically.
 
-The three sources in the second branch are pairwise disjoint; that is
-checked during generation and a duplicate is a hard failure (a
-RuntimeError, also under python -O), as is an object of weight n - m
-without exactly one residue piece at one of its ends.  In a member of
-weight n - m the residue piece is the one part not divisible by m, so
-its max m-power, 1, is the smallest, and a strictly unimodal sequence
-holds its minimum only at its first or last place; the run of ones of
-a run form has the smallest base for the same reason.  So each piece
-is grown at the end where it sits, and the check takes two steps: one
-count over the parts (or run bases) of the whole weight, which must
-equal the number of objects, and a test of each object's two ends.
-Every object then holds one residue piece at an end and no second one
-anywhere.  The memo keeps each weight's members in order: compositions
-lexicographically, sorted once when built; run forms by their
-flattened parts, with no sort at all.
+Run forms follow the paper's recursion: glue a run of r ones to the
+front or the back of a form of weight n - r, or grow the unique run of
+ones of a form of weight n - m by m ones.  In a form of weight n - m
+the run of ones has the smallest base, and a strictly unimodal
+sequence holds its minimum only at its first or last place, so the
+run is grown at the end where it sits.  A form of weight n - m without
+exactly one run of ones at one of its ends is a hard failure (a
+RuntimeError, also under python -O).  The check takes two steps: one
+count over the run bases of the whole weight, which must equal the
+number of forms, and a test of each form's two ends.  Every form then
+holds one run of ones at an end and no second one anywhere.
+
+In both generators the sources of a weight are pairwise disjoint;
+that is checked as each weight is built, and a duplicate is a hard
+failure too.
 
 Run forms come out in order because every source keeps the order of
 the list it is built from.  Scaling multiplies every part by m.
@@ -37,9 +40,9 @@ those that start with their run of ones first, and the three sorted
 lists need only a merge.  Runs are shared, not copied: a scaled run is
 built once per distinct run of the lighter weight, a grown run of ones
 once per multiplicity and the glued run once per weight.  Scaled and
-glued objects are built by map, one tuple each, and a grown one by a
-slice and a concatenation, so generating either family allocates little
-beyond the objects themselves.
+glued forms are built by map, one tuple each, and a grown one by a
+slice and a concatenation, so generating them allocates little beyond
+the forms themselves.
 
 Two oracles cross-check the generators by raw search that shares none
 of the construction logic.  oracle_sp grows compositions of n part by
@@ -57,7 +60,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain, product, repeat
-from operator import countOf, itemgetter, mod
+from operator import countOf, itemgetter
 from typing import List
 
 from .core import (
@@ -82,24 +85,14 @@ ENUMERATION_LIMIT = 100
 def _sp_members(n: int, m: int) -> tuple:
     if n == 0:
         return ((),)
-    if n < m:
-        return ((n,),)
     if n % m == 0:
         return tuple(map(tuple, map(map, repeat(m.__mul__), _sp_members(n // m, m))))
-    r = n % m
-    shorter = _sp_members(n - r, m)
-    out = [*map((r,).__add__, shorter), *map(tuple.__add__, shorter, repeat((r,)))]
-    lower = _sp_members(n - m, m)
-    if countOf(map(mod, chain.from_iterable(lower), repeat(m)), r) != len(lower):
-        raise RuntimeError(f"a weight {n - m} member lacks a unique residue part")
-    grow = {p: (p + m,) for p in range(r, n - m + 1, m)}  # residue part p, grown
-    for c in lower:
-        if c[0] in grow:
-            out.append(grow[c[0]] + c[1:])
-        elif c[-1] in grow:
-            out.append(c[:-1] + grow[c[-1]])
-        else:
-            raise RuntimeError(f"weight {n - m} member {c} lacks a unique residue part")
+    out = [(n,)]
+    for w in range(m, n, m):
+        glue = (n - w,)
+        lighter = _sp_members(w, m)
+        out += map(glue.__add__, lighter)
+        out += map(tuple.__add__, lighter, repeat(glue))
     if len(set(out)) != len(out):
         raise RuntimeError(f"construction sources overlap at n={n}, m={m}")
     out.sort()

@@ -7,10 +7,10 @@ composition), sp(n, m) = 1 for 1 <= n <= m - 1, and for n >= m
     sp(n, m) = sp(n // m, m)                     if m divides n,
     sp(n, m) = 2 sp(n - r, m) + sp(n - m, m)     if n = r (mod m), 0 < r < m.
 
-The two-term branch mirrors the construction: a residue part r can be
-glued to the front or the back of a composition of n - r (all of whose
-parts are divisible by m), or m can be added to the unique residue part
-of a composition of n - m.  For m = 2 the sequence 1, 1, 3, 1, 5, 3,
+The two-term branch mirrors the paper's construction: a residue part r
+can be glued to the front or the back of a composition of n - r (all of
+whose parts are divisible by m), or m can be added to the unique residue
+part of a composition of n - m.  For m = 2 the sequence 1, 1, 3, 1, 5, 3,
 11, 1, 13, 5, ... is OEIS A129095.
 
 Telescoping the two-term branch gives the plateau identity
@@ -142,11 +142,9 @@ def sp_table(n_max: int, moduli: Sequence[int]) -> List[List[int]]:
     """Rows of counts, one per modulus, columns n = 1 .. n_max."""
     check_nonneg(n_max, "weight")
     check_bound((n_max + 1) * len(moduli), RANGE_LIMIT, "sp_table (n_max + 1) * moduli")
-    rows = []
     for m in moduli:
         check_modulus(m)
-        rows.append(_sp_range(n_max, m)[1:])
-    return rows
+    return [_sp_range(n_max, m)[1:] for m in moduli]
 
 
 def check_plateau_identity(v_max: int, m: int) -> CongruenceReport:

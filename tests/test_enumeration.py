@@ -306,24 +306,29 @@ def corrupt(monkeypatch):
         memo.cache_clear()
 
 
-# (memo, m, weight to corrupt, its members, message); weight 7 is built
-# from weights 6 and 5 at m = 2, and from weights 6 and 4 at m = 3
+# (memo, m, weight to corrupt, its members, message).  As a composition,
+# weight 7 is built from weights 2, 4 and 6 at m = 2 and from 3 and 6 at
+# m = 3; as a run form, from weights 6 and 5 at m = 2 and from 6 and 4 at
+# m = 3.  Each id holds the case's place in the list, so a new case takes
+# a free place or goes at the end, and every other case keeps its id.
 CORRUPTIONS = [
     ("_sp_members", 2, 6, [(2, 4), (2, 4), (4, 2), (6,)], "construction sources overlap"),
     ("_sp_members", 2, 6, [(1,), (2, 4), (4, 2), (6,)], "construction sources overlap"),
-    ("_sp_members", 2, 5, [(1, 4), (1, 4), (5,)], "construction sources overlap"),
-    ("_sp_members", 2, 5, [(1, 4), (2, 4), (5,)], "lacks a unique residue part"),
-    ("_sp_members", 2, 5, [(1, 4), (1, 2, 1), (5,)], "lacks a unique residue part"),
+    ("_sp_members", 2, 4, [(4,), (4,)], "construction sources overlap"),
+    ("_sp_members", 2, 2, [(2,), (2,)], "construction sources overlap"),
+    # the part 3 glued to the front of one member and to the back of the other
+    ("_sp_members", 2, 4, [(1, 3), (3, 1)], "construction sources overlap"),
     ("_oc_members", 2, 6, [((2, 3),), ((2, 3),), ((4, 1), (2, 1))], "construction sources overlap"),
     ("_oc_members", 2, 6, [((1, 1),), ((2, 3),), ((4, 1), (2, 1))], "construction sources overlap"),
     ("_oc_members", 2, 5, [((1, 5),), ((1, 5),), ((4, 1), (1, 1))], "construction sources overlap"),
     ("_oc_members", 2, 5, [((1, 5),), ((1, 1), (2, 1), (1, 1)), ((4, 1), (1, 1))], "lacks a unique run of ones"),
     ("_oc_members", 2, 5, [((1, 5),), ((2, 1), (4, 1)), ((4, 1), (1, 1))], "lacks a unique run of ones"),
-    # one residue piece per member, but in the middle of one
-    ("_sp_members", 2, 5, [(1, 4), (2, 1, 2), (5,)], "lacks a unique residue part"),
+    ("_sp_members", 3, 3, [(3,), (3,)], "construction sources overlap"),
+    # one run of ones per form, but in the middle of one
     ("_oc_members", 2, 5, [((1, 5),), ((2, 1), (1, 1), (2, 1)), ((4, 1), (1, 1))], "lacks a unique run of ones"),
-    # as many residue pieces as members, but none in one and two in the other
-    ("_sp_members", 3, 4, [(2, 2), (1, 2, 1)], "lacks a unique residue part"),
+    # the part 1 glued to either end of a member made of ones
+    ("_sp_members", 3, 6, [(1,) * 6], "construction sources overlap"),
+    # as many runs of ones as forms, but none in one and two in the other
     ("_oc_members", 3, 4, [((2, 2),), ((1, 1), (2, 1), (1, 1))], "lacks a unique run of ones"),
 ]
 

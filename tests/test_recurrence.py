@@ -43,6 +43,15 @@ def test_sp_table_shape_and_content():
         assert row == TABLE_ROWS[m]
 
 
+@pytest.mark.parametrize("moduli", [[2, 1], [3, 2, 0], [2, "3"]])
+def test_sp_table_checks_every_modulus_before_any_row(monkeypatch, moduli):
+    built = []
+    monkeypatch.setattr(recurrence, "_sp_range", lambda n, m: built.append(m))
+    with pytest.raises(ValueError, match="modulus"):
+        sp_table(299_998, moduli)
+    assert built == []
+
+
 def test_counts_match_brute_force():
     for m in (2, 3, 4, 5):
         for n in range(0, 16):
