@@ -29,33 +29,20 @@ _EXPORTS = {
         "check_oddness",
         "check_partial_sum_mod3",
         "check_special_cases",
-        "count_two_size_odd_partitions",
     ),
     "core": (
         "CongruenceReport",
-        "NOT_DISTINCT",
-        "NOT_UNIMODAL",
         "SearchBoundExceeded",
         "is_semi_m_pell",
-        "max_m_power",
-        "membership_failure",
         "runform_failure",
         "runform_parts",
         "tau1",
         "tau2",
         "tau3",
-        "validate_runform",
     ),
-    "enumeration": (
-        "ENUMERATION_LIMIT",
-        "enumerate_oc",
-        "enumerate_sp",
-        "oracle_agreement",
-        "oracle_oc",
-        "oracle_sp",
-    ),
+    "enumeration": ("enumerate_oc", "enumerate_sp", "oracle_agreement", "oracle_oc", "oracle_sp"),
     "recurrence": ("check_plateau_identity", "check_scaling_identity", "sp", "sp_table"),
-    "series": ("check_functional_equation", "functional_equation_residual", "qm_peak_terms", "qm_series"),
+    "series": ("check_functional_equation", "functional_equation_residual", "qm_series"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -126,7 +126,7 @@ def check_partial_sum_mod3(m: int, j_max: int) -> CongruenceReport:
     return _sweep(report, list(accumulate(counts[1:], initial=0)), "partial-sum", m, j_max)
 
 
-def count_two_size_odd_partitions(n: int) -> int:
+def _two_size_odd_partitions(n: int) -> int:
     """Partitions of n into powers of 2, each size used an odd number of
     times, with exactly two distinct sizes.
 
@@ -153,7 +153,7 @@ def check_ob_parity(n_max: int) -> CongruenceReport:
     check_bound(n_max, OB_PARITY_LIMIT, "ob-parity n_max")
     report = CongruenceReport("ob-parity", {"n_max": n_max})
     weights = range(1, n_max + 1, 2)
-    parities = [count_two_size_odd_partitions(n) % 2 for n in weights]
+    parities = [_two_size_odd_partitions(n) % 2 for n in weights]
     report.record_all(parities, [(n % 4 - 1) // 2 for n in weights], lambda i: f"n={weights[i]}")
     return report
 

@@ -110,22 +110,6 @@ class CongruenceReport:
         return out
 
 
-def max_m_power(n: int, m: int) -> int:
-    """Largest power of m dividing n.
-
-    max_m_power(50, 2) == 2 and max_m_power(216, 5) == 1.  Raises
-    ValueError for n < 1 or m < 2; n = 0 would divide forever.
-    """
-    check_modulus(m)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"argument must be a positive integer, got {n!r}")
-    x = 1
-    while n % m == 0:
-        n //= m
-        x *= m
-    return x
-
-
 def _membership_scan(
     composition: Sequence[int], m: int
 ) -> Tuple[Optional[str], List[Tuple[int, int]]]:
@@ -168,15 +152,6 @@ def _membership_scan(
 def is_semi_m_pell(composition: Sequence[int], m: int) -> bool:
     """True iff the max m-powers of the parts are distinct and unimodal."""
     return _membership_scan(composition, m)[0] is None
-
-
-def membership_failure(composition: Sequence[int], m: int) -> Optional[str]:
-    """Why a composition is not semi-m-Pell, or None if it is.
-
-    Reports the first violated condition read left to right, either
-    NOT_DISTINCT or NOT_UNIMODAL.
-    """
-    return _membership_scan(composition, m)[0]
 
 
 def tau1(composition: Sequence[int], m: int) -> Composition:
@@ -260,8 +235,3 @@ def runform_failure(runs: Sequence[Tuple[int, int]], m: int) -> Optional[str]:
             if bases[i] <= bases[i + 1]:
                 return "run bases not unimodal"
     return None
-
-
-def validate_runform(runs: Sequence[Tuple[int, int]], m: int) -> bool:
-    """True iff runs is a well-formed run form for modulus m."""
-    return runform_failure(runs, m) is None

@@ -75,7 +75,7 @@ def _times_peak(coeffs: List[int], m: int, base: int) -> List[int]:
     return out
 
 
-def qm_peak_terms(m: int, order: int) -> List[List[int]]:
+def _peak_terms(m: int, order: int) -> List[List[int]]:
     """One series per peak base m^i; term i counts run forms peaking there."""
     check_modulus(m)
     check_nonneg(order, "order")
@@ -92,7 +92,7 @@ def qm_peak_terms(m: int, order: int) -> List[List[int]]:
 
 def qm_series(m: int, order: int) -> List[int]:
     """Counting series: coefficient of x^n is sp(n, m), constant term 1."""
-    terms = qm_peak_terms(m, order)
+    terms = _peak_terms(m, order)
     out = [1] + [0] * order
     for term in terms:
         out = list(map(add, out, term))

@@ -10,8 +10,6 @@ import time
 from pathlib import Path
 
 from semipell import (
-    NOT_DISTINCT,
-    NOT_UNIMODAL,
     check_mod3,
     check_mod4_base,
     check_mod4_general,
@@ -26,7 +24,6 @@ from semipell import (
     from_oc,
     functional_equation_residual,
     is_semi_m_pell,
-    membership_failure,
     oracle_oc,
     oracle_sp,
     qm_series,
@@ -35,6 +32,7 @@ from semipell import (
     sp_table,
     to_oc,
 )
+from semipell.core import NOT_DISTINCT, NOT_UNIMODAL, _membership_scan
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -204,9 +202,9 @@ def test_criterion_9_structural_agreement():
         (3, 4, 6, 2): NOT_DISTINCT,
     }
     wrong_reason = {
-        comp: membership_failure(comp, 2)
+        comp: _membership_scan(comp, 2)[0]
         for comp, reason in rejections.items()
-        if membership_failure(comp, 2) != reason or is_semi_m_pell(comp, 2)
+        if _membership_scan(comp, 2)[0] != reason or is_semi_m_pell(comp, 2)
     }
     report(
         9,

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import semipell
-from semipell import ENUMERATION_LIMIT, bijection, congruence, sp
+from semipell import bijection, congruence, sp
 from semipell.cli import (
     _COMMANDS,
     build_parser,
@@ -22,6 +22,7 @@ from semipell.cli import (
     parse_runform,
 )
 from semipell.congruence import OB_PARITY_LIMIT
+from semipell.enumeration import ENUMERATION_LIMIT
 from semipell.recurrence import COUNT_LIMIT, RANGE_LIMIT
 from semipell.series import ORDER_LIMIT
 
@@ -373,6 +374,7 @@ def test_roundtrip_limit(capsys, monkeypatch):
     def refuse(report, n, m):
         raise AssertionError(f"weight {n} at m={m} ran before the bound check")
 
+    assert ENUMERATION_LIMIT == 100
     # refused before any weight is generated
     monkeypatch.setattr(bijection, "_record_roundtrip", refuse)
     code, out, err = run(capsys, "check", "roundtrip", "--nmax", str(ENUMERATION_LIMIT + 1))
@@ -416,14 +418,18 @@ def test_funceq_order_limit(capsys):
 
 
 def test_range_limit(capsys):
-    # Each argument list puts the top weight of the dense count range
-    # just past RANGE_LIMIT; table's bound is on its total count.
+    # Each refused argument list puts the top weight of the dense count
+    # range just past RANGE_LIMIT, each passing one just within it;
+    # table's bound is on its total count.
     top = RANGE_LIMIT
+    assert top == 10**6
     refused = [
         ("check", "oddness", "--nmax", str(top + 1)),
         ("check", "mod4", "--nmax", str(top // 2)),
         ("check", "mod4-general", "--m", str(top), "--jmax", "0"),
         ("check", "mod3", "--m", "4", "--jmax", str(top // 16)),
+        # the modulus alone puts the first row past the bound
+        ("check", "mod3", "--m", "1000000003", "--jmax", "0"),
         ("check", "partial-sum", "--m", "4", "--jmax", str(top // 4)),
         ("check", "plateau", "--m", "2", "--vmax", str(top // 2)),
         ("check", "scaling", "--m", "2", "--vmax", str(top // 2), "--jmax", "0"),
@@ -434,10 +440,17 @@ def test_range_limit(capsys):
     for argv in refused:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and "bound" in err, argv
-    code, out, _ = run(capsys, "check", "oddness", "--nmax", str(top))
-    assert code == 0 and out == f"PASS oddness checked={top + 1}\n"
-    code, out, _ = run(capsys, "check", "mod4-general", "--m", str(top - 1), "--jmax", "0")
-    assert code == 0 and out == "PASS mod4-general checked=2\n"
+    passing = [
+        (("check", "oddness", "--nmax", str(top)), f"PASS oddness checked={top + 1}"),
+        (("check", "mod4", "--nmax", str(top // 2 - 1)), "PASS mod4 checked=500000"),
+        (("check", "mod4-general", "--m", str(top - 1), "--jmax", "0"), "PASS mod4-general checked=2"),
+        (("check", "mod3", "--m", "4", "--jmax", str(top // 16 - 1)), "PASS mod3 checked=187500"),
+        (("check", "partial-sum", "--m", "4", "--jmax", str(top // 4 - 1)), "PASS partial-sum checked=250000"),
+        (("check", "special-cases", "--jmax", str(top // 100 - 1)), "PASS special-cases checked=70000"),
+    ]
+    for argv, summary in passing:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == summary + "\n", argv
     # 1000 moduli of 1000 counts each: every weight is below its modulus
     code, out, _ = run(capsys, "table", "999", "2", "1001")
     lines = out.splitlines()
@@ -446,6 +459,7 @@ def test_range_limit(capsys):
 
 
 def test_ob_parity_limit(capsys):
+    assert OB_PARITY_LIMIT == 10**4
     code, out, err = run(capsys, "check", "ob-parity", "--nmax", str(OB_PARITY_LIMIT + 1))
     assert code == 3 and out == "" and "bound" in err
     code, out, _ = run(capsys, "check", "ob-parity", "--nmax", str(OB_PARITY_LIMIT))
@@ -455,12 +469,12 @@ def test_ob_parity_limit(capsys):
 def test_scaling_limit(capsys):
     # m = 10, v_max = 0: the largest scaled weight is 10^j_max * 9
     assert COUNT_LIMIT == 10**50
-    code, out, err = run(capsys, "check", "scaling", "--m", "10", "--vmax", "0", "--jmax", "50")
+    code, out, err = run(capsys, "check", "scaling", "--m", "10", "--jmax", "50", "--vmax", "0")
     assert code == 3 and out == "" and "bound" in err
     # refused without building the power
     code, out, err = run(capsys, "check", "scaling", "--jmax", str(10**12))
     assert code == 3 and out == "" and "bound" in err
-    code, out, _ = run(capsys, "check", "scaling", "--m", "10", "--vmax", "0", "--jmax", "49")
+    code, out, _ = run(capsys, "check", "scaling", "--m", "10", "--jmax", "49", "--vmax", "0")
     assert code == 0 and out == "PASS scaling checked=900\n"
 
 

@@ -18,7 +18,7 @@ from semipell.congruence import (
     check_oddness,
     check_partial_sum_mod3,
     check_special_cases,
-    count_two_size_odd_partitions,
+    _two_size_odd_partitions,
 )
 from semipell.core import SearchBoundExceeded
 from semipell.enumeration import ENUMERATION_LIMIT, oracle_agreement
@@ -93,16 +93,16 @@ def test_partial_sum_sweep():
 
 def test_two_size_counter_by_hand():
     # 5 = 4+1 = 2+1+1+1, both with odd multiplicities and two sizes
-    assert count_two_size_odd_partitions(5) == 2
+    assert _two_size_odd_partitions(5) == 2
     # 3 = 2+1 only
-    assert count_two_size_odd_partitions(3) == 1
+    assert _two_size_odd_partitions(3) == 1
     # 1 has a single size
-    assert count_two_size_odd_partitions(1) == 0
+    assert _two_size_odd_partitions(1) == 0
     # 9 = 8+1 = 4+4+1 (even, out) = 4+1*5 = 2+2+2+1+1+1 (even, out)
     #   = 2*3+1*3 = 2+1*7
-    assert count_two_size_odd_partitions(9) == 4
+    assert _two_size_odd_partitions(9) == 4
     with pytest.raises(ValueError):
-        count_two_size_odd_partitions(0)
+        _two_size_odd_partitions(0)
 
 
 def test_two_size_counter_against_exhaustive_partitions():
@@ -133,7 +133,7 @@ def test_two_size_counter_against_exhaustive_partitions():
         return count
 
     for n in range(1, 120, 2):
-        assert count_two_size_odd_partitions(n) == brute(n)
+        assert _two_size_odd_partitions(n) == brute(n)
 
 
 def test_two_size_counter_against_per_multiplicity_search():
@@ -159,7 +159,7 @@ def test_two_size_counter_against_per_multiplicity_search():
         return count
 
     for n in range(1, 4001):
-        assert count_two_size_odd_partitions(n) == search(n), n
+        assert _two_size_odd_partitions(n) == search(n), n
 
 
 def test_ob_parity_sweep():
@@ -301,7 +301,7 @@ def test_sweeps_refuse_their_bound_before_any_work(monkeypatch):
     monkeypatch.setattr(recurrence, "_sp_range", reached)
     monkeypatch.setattr(bijection, "_record_roundtrip", reached)
     monkeypatch.setattr(congruence, "_sp_range", reached)
-    monkeypatch.setattr(congruence, "count_two_size_odd_partitions", reached)
+    monkeypatch.setattr(congruence, "_two_size_odd_partitions", reached)
     monkeypatch.setattr(series, "qm_series", reached)
     top = RANGE_LIMIT
     # function, arguments just past its bound, arguments at or just within it
@@ -483,8 +483,8 @@ def _fault_ids(faults):
 def test_violations_keep_their_labels_and_order(monkeypatch, sweep, args, weights, lines):
     monkeypatch.setattr(recurrence, "_sp_range", _corrupt(recurrence._sp_range, weights))
     monkeypatch.setattr(congruence, "_sp_range", _corrupt(congruence._sp_range, weights))
-    counter = congruence.count_two_size_odd_partitions
-    monkeypatch.setattr(congruence, "count_two_size_odd_partitions", lambda n: counter(n) + (n in weights))
+    counter = congruence._two_size_odd_partitions
+    monkeypatch.setattr(congruence, "_two_size_odd_partitions", lambda n: counter(n) + (n in weights))
     monkeypatch.setattr(series, "functional_equation_residual", _corrupt(series.functional_equation_residual, weights))
     oracle = enumeration.oracle_oc
     monkeypatch.setattr(enumeration, "oracle_oc", lambda n, m: oracle(n, m)[n in weights:])

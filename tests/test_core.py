@@ -1,44 +1,47 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from semipell.bijection import to_oc
 from semipell.core import (
     NOT_DISTINCT,
     NOT_UNIMODAL,
+    _membership_scan,
     is_semi_m_pell,
-    max_m_power,
-    membership_failure,
     runform_failure,
     runform_parts,
     tau1,
     tau2,
     tau3,
-    validate_runform,
 )
+
+# the max m-power of a part is read from the split the membership scan
+# makes: a single part is always a member, and its one run is (x, h)
+# with x its max m-power and h the cofactor
 
 
 def test_max_m_power_values():
-    assert max_m_power(50, 2) == 2
-    assert max_m_power(216, 5) == 1
-    assert max_m_power(27, 3) == 27
-    assert max_m_power(1, 7) == 1
-    assert max_m_power(12, 2) == 4
+    assert to_oc((50,), 2) == ((2, 25),)
+    assert to_oc((216,), 5) == ((1, 216),)
+    assert to_oc((27,), 3) == ((27, 1),)
+    assert to_oc((1,), 7) == ((1, 1),)
+    assert to_oc((12,), 2) == ((4, 3),)
 
 
 def test_max_m_power_rejects_bad_input():
     with pytest.raises(ValueError):
-        max_m_power(0, 2)
+        to_oc((0,), 2)
     with pytest.raises(ValueError):
-        max_m_power(-4, 2)
+        to_oc((-4,), 2)
     with pytest.raises(ValueError):
-        max_m_power(6, 1)
+        to_oc((6,), 1)
 
 
 @given(st.integers(1, 10**9), st.integers(2, 64))
 def test_max_m_power_factorisation(n, m):
-    x = max_m_power(n, m)
-    # x is the m-power part of n: it divides n and the cofactor is coprime to m
-    assert n % x == 0
-    assert (n // x) % m != 0
+    ((x, h),) = to_oc((n,), m)
+    # x is the m-power part of n: x h = n and the cofactor is coprime to m
+    assert x * h == n
+    assert h % m != 0
     while x % m == 0:
         x //= m
     assert x == 1
@@ -56,12 +59,12 @@ def test_membership_knowns():
 
 def test_membership_rejections_with_reason():
     # valley in the powers: 2, 1, 4
-    assert membership_failure((2, 9, 4), 2) == NOT_UNIMODAL
-    assert membership_failure((1, 4, 2, 8), 2) == NOT_UNIMODAL
+    assert _membership_scan((2, 9, 4), 2)[0] == NOT_UNIMODAL
+    assert _membership_scan((1, 4, 2, 8), 2)[0] == NOT_UNIMODAL
     # repeated powers
-    assert membership_failure((2, 10, 3), 2) == NOT_DISTINCT
-    assert membership_failure((3, 4, 6, 2), 2) == NOT_DISTINCT
-    assert membership_failure((14, 3, 18, 27), 3) is None
+    assert _membership_scan((2, 10, 3), 2)[0] == NOT_DISTINCT
+    assert _membership_scan((3, 4, 6, 2), 2)[0] == NOT_DISTINCT
+    assert _membership_scan((14, 3, 18, 27), 3)[0] is None
 
 
 def test_membership_rejects_nonpositive_parts():
@@ -73,7 +76,7 @@ def test_membership_rejects_nonpositive_parts():
 
 @given(st.lists(st.integers(1, 400), max_size=7), st.integers(2, 8))
 def test_membership_and_failure_agree(parts, m):
-    assert is_semi_m_pell(parts, m) == (membership_failure(parts, m) is None)
+    assert is_semi_m_pell(parts, m) == (_membership_scan(parts, m)[0] is None)
 
 
 def test_tau1():
@@ -118,13 +121,13 @@ def test_weight_helpers():
 
 
 def test_runform_validation_knowns():
-    assert validate_runform(((16, 1), (4, 3), (2, 3), (1, 11)), 2)
-    assert validate_runform(((2, 5), (4, 1), (8, 3), (1, 7)), 2)
-    assert validate_runform(((1, 7), (8, 1), (16, 1), (2, 7)), 2)
-    assert validate_runform((), 2)
-    assert validate_runform(((27, 2), (9, 2), (3, 2), (1, 14)), 3)
-    assert validate_runform(((1, 8), (3, 13), (9, 2), (27, 1)), 3)
-    assert validate_runform(((3, 14), (9, 1), (27, 1), (1, 14)), 3)
+    assert runform_failure(((16, 1), (4, 3), (2, 3), (1, 11)), 2) is None
+    assert runform_failure(((2, 5), (4, 1), (8, 3), (1, 7)), 2) is None
+    assert runform_failure(((1, 7), (8, 1), (16, 1), (2, 7)), 2) is None
+    assert runform_failure((), 2) is None
+    assert runform_failure(((27, 2), (9, 2), (3, 2), (1, 14)), 3) is None
+    assert runform_failure(((1, 8), (3, 13), (9, 2), (27, 1)), 3) is None
+    assert runform_failure(((3, 14), (9, 1), (27, 1), (1, 14)), 3) is None
 
 
 def test_runform_validation_failures():
@@ -137,11 +140,11 @@ def test_runform_validation_failures():
     assert r is not None and "divisible by 2" in r
     r = runform_failure(((1, 3), (2, 5), (4, 1), (8, 3), (1, 5)), 2)
     assert r is not None and "more than one place" in r
-    assert not validate_runform(((1, 2),), 2)  # multiplicity divisible by m
-    assert not validate_runform(((6, 1),), 2)  # base not a power of m
-    assert not validate_runform(((4, 1), (1, 1), (2, 1)), 2)  # valley
-    assert not validate_runform(((1, 0),), 2)
-    assert not validate_runform(((0, 3),), 2)
+    assert runform_failure(((1, 2),), 2) is not None  # multiplicity divisible by m
+    assert runform_failure(((6, 1),), 2) is not None  # base not a power of m
+    assert runform_failure(((4, 1), (1, 1), (2, 1)), 2) is not None  # valley
+    assert runform_failure(((1, 0),), 2) is not None
+    assert runform_failure(((0, 3),), 2) is not None
     assert runform_failure(((4, 1), (1, 1), (2, 1)), 2) == "run bases not unimodal"
 
 

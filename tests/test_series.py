@@ -3,12 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from semipell.enumeration import enumerate_oc
 from semipell.recurrence import sp
-from semipell.series import (
-    _divide_geometric,
-    functional_equation_residual,
-    qm_peak_terms,
-    qm_series,
-)
+from semipell.series import _divide_geometric, _peak_terms, functional_equation_residual, qm_series
 
 # Dense list arithmetic: the slow reference the structured construction
 # is compared against.  A series is a list c[0..order]; products truncate.
@@ -80,7 +75,7 @@ def test_counting_series_matches_recurrence():
 
 
 def test_bad_order_and_modulus():
-    for fn in (qm_peak_terms, qm_series, functional_equation_residual):
+    for fn in (_peak_terms, qm_series, functional_equation_residual):
         for order in (-1, 2.5, "8"):
             with pytest.raises(ValueError, match="order must be a nonnegative integer"):
                 fn(2, order)
@@ -91,7 +86,7 @@ def test_bad_order_and_modulus():
 def test_peak_terms_bucket_the_runforms():
     # the i-th term counts run forms whose largest base is m^i
     for m in (2, 3, 4, 5):
-        terms = qm_peak_terms(m, 40)
+        terms = _peak_terms(m, 40)
         for n in range(1, 41):
             buckets = {}
             for rf in enumerate_oc(n, m):
@@ -131,7 +126,7 @@ def test_structured_series_matches_dense_products():
     for m in range(2, 11):
         for order in sorted({0, 1, m - 1, m, m * m, 257, 600}):
             dense = _dense_peak_terms(m, order)
-            assert qm_peak_terms(m, order) == dense, (m, order)
+            assert _peak_terms(m, order) == dense, (m, order)
             total = _one(order)
             for term in dense:
                 total = _add(total, term)
@@ -141,7 +136,7 @@ def test_structured_series_matches_dense_products():
 def test_peak_terms_sum_to_the_series():
     for m in (2, 5):
         total = _one(64)
-        for term in qm_peak_terms(m, 64):
+        for term in _peak_terms(m, 64):
             total = _add(total, term)
         assert total == qm_series(m, 64)
 
