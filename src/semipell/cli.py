@@ -9,11 +9,11 @@ exceeded, 4 the input was rejected as not belonging to the domain
 The bounds are fixed, and the library enforces most of them itself:
 enum, roundtrip and the oracle sweep stop at the search bounds of the
 enumeration module, table and the check sweeps refuse dense count
-ranges past recurrence.RANGE_LIMIT, funceq refuses orders above
-series.ORDER_LIMIT, ob-parity n above congruence.OB_PARITY_LIMIT, and
-scaling scaled weights above recurrence.COUNT_LIMIT.  This module adds
-two: count refuses n above recurrence.COUNT_LIMIT, and series orders
-above series.ORDER_LIMIT.
+ranges past recurrence.RANGE_LIMIT, ob-parity n above
+congruence.OB_PARITY_LIMIT, scaling scaled weights above
+recurrence.COUNT_LIMIT, and series and funceq orders above
+series.ORDER_LIMIT.  This module adds one: count refuses n above
+recurrence.COUNT_LIMIT.
 
 Each command, and each check family under it, is declared once in
 _COMMANDS, with its handler, help text and arguments, and argparse
@@ -160,9 +160,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    from .series import ORDER_LIMIT, qm_series
+    from .series import qm_series
 
-    check_bound(args.order, ORDER_LIMIT, "series order")
     for n, coefficient in enumerate(qm_series(args.m, args.order)):
         print(f"{n} {coefficient}")
     return 0

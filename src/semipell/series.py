@@ -13,13 +13,17 @@ contributes x^(m^t * u), and every smaller power m^t is either absent
 factor 2).  Summing over the peak base i makes the coefficient of x^n
 count the run forms of weight n, so it equals sp(n, m).
 
-The series is built from those factors without any dense product.  With
-b = m^t, P_t(x) = (x^b - x^(m b)) / ((1 - x^b)(1 - x^(m b))), so
-multiplying by P_t is a two-term shift followed by two running sums
-(strides b and m b), O(order) for each peak base and
-O(order * log_m(order)) for the whole series.  The dense list product
-that builds the same series factor by factor lives in the tests, as the
-slow path this construction is compared against.
+The sum telescopes: with R_i = prod_{t<i} (1 + 2 P_t), each term is
+P_i R_i = (R_{i+1} - R_i) / 2, so Q_m(x) = (1 + prod_t (1 + 2 P_t(x))) / 2,
+the series form of the plateau identity (the product counts each
+non-empty run form once per side of its peak).  qm_series builds that
+one product without any dense product.  With b = m^t,
+P_t(x) = (x^b - x^(m b)) / ((1 - x^b)(1 - x^(m b))), so multiplying by
+P_t is a two-term shift followed by two running sums (strides b and
+m b), O(order) for each peak base and O(order * log_m(order)) for the
+whole series.  The dense list products, one per-peak term at a time,
+live in the tests, as the slow path this construction is compared
+against.
 
 Q_m also satisfies a functional equation under x -> x^m.  With
 s(x) = x + ... + x^(m-1),
@@ -37,10 +41,10 @@ from itertools import accumulate
 from operator import add, sub
 from typing import List, Sequence, Tuple
 
-from .core import CongruenceReport, check_bound, check_modulus, check_nonneg
+from .core import CongruenceReport, check_bound, check_modulus
 
-# The series costs O(order log order), milliseconds at this bound; the
-# residual sweep and the series command refuse orders above it.
+# The series costs O(order log order), milliseconds at this bound;
+# qm_series and the residual, and so both commands, refuse orders above it.
 ORDER_LIMIT = 4096
 
 
@@ -75,28 +79,19 @@ def _times_peak(coeffs: List[int], m: int, base: int) -> List[int]:
     return out
 
 
-def _peak_terms(m: int, order: int) -> List[List[int]]:
-    """One series per peak base m^i; term i counts run forms peaking there."""
+def qm_series(m: int, order: int) -> List[int]:
+    """Counting series: coefficient of x^n is sp(n, m), constant term 1.
+
+    Orders above ORDER_LIMIT are refused before anything is allocated.
+    """
     check_modulus(m)
-    check_nonneg(order, "order")
-    terms = []
-    prod = [1] + [0] * order  # prod_{t<i} (1 + 2 P_t)
+    check_bound(order, ORDER_LIMIT, "series order")
+    prod = [1] + [0] * order  # prod_t (1 + 2 P_t)
     base = 1
     while base <= order:
-        peak = _times_peak(prod, m, base)
-        terms.append(peak)
-        prod = [p + 2 * q for p, q in zip(prod, peak)]
+        prod = [p + 2 * q for p, q in zip(prod, _times_peak(prod, m, base))]
         base *= m
-    return terms
-
-
-def qm_series(m: int, order: int) -> List[int]:
-    """Counting series: coefficient of x^n is sp(n, m), constant term 1."""
-    terms = _peak_terms(m, order)
-    out = [1] + [0] * order
-    for term in terms:
-        out = list(map(add, out, term))
-    return out
+    return [(1 + c) // 2 for c in prod]
 
 
 def functional_equation_residual(m: int, order: int) -> List[int]:

@@ -23,7 +23,7 @@ from semipell.cli import (
 )
 from semipell.congruence import OB_PARITY_LIMIT
 from semipell.enumeration import ENUMERATION_LIMIT
-from semipell.recurrence import COUNT_LIMIT, RANGE_LIMIT
+from semipell.recurrence import COUNT_LIMIT, RANGE_LIMIT, _sp_range
 from semipell.series import ORDER_LIMIT
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -73,6 +73,7 @@ def test_count_json(capsys):
     code, out, _ = run(capsys, "count", "7", "2", "--json")
     assert code == 0
     assert json.loads(out) == {"n": 7, "m": 2, "sp": "11"}
+    assert out == '{"n": 7, "m": 2, "sp": "11"}\n'
 
 
 def test_count_cache_roundtrip(tmp_path, monkeypatch, capsys):
@@ -181,6 +182,8 @@ def test_check_output_is_frozen(capsys):
 
 
 def test_map(capsys):
+    code, out, _ = run(capsys, "map", "14,3,18,27", "3")
+    assert code == 0 and out == "(1^14,3,9^2,27)\n"
     code, out, _ = run(capsys, "map", "14,3,18,27", "3", "--direction", "to-oc")
     assert code == 0 and out == "(1^14,3,9^2,27)\n"
     code, out, _ = run(capsys, "map", "9", "3")
@@ -210,6 +213,11 @@ def test_series(capsys):
     code, out, _ = run(capsys, "series", "3", "13")
     assert code == 0
     assert out.splitlines()[13] == "13 13"
+    # every coefficient against the recurrence, up to the order bound
+    for m, order in ((3, 40), (2, 4096)):
+        code, out, _ = run(capsys, "series", str(m), str(order))
+        assert code == 0
+        assert out == "".join(f"{n} {c}\n" for n, c in enumerate(_sp_range(order, m))), (m, order)
 
 
 def test_check_families_pass(capsys):
@@ -239,6 +247,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "count", "-3", "2")[0] == 2
     assert run(capsys, "count", "5", "1")[0] == 2
     assert run(capsys, "nosuch")[0] == 2
+    assert run(capsys, "cnt", "5", "2")[0] == 2
     assert run(capsys, "check", "nosuch")[0] == 2
     assert run(capsys, "check", "mod3", "--m", "5")[0] == 2
     assert run(capsys, "check", "mod4", "--m", "3")[0] == 2
@@ -262,6 +271,7 @@ def test_check_refuses_flags_the_family_does_not_read(capsys):
         (("check", "roundtrip", "--order", "5"), "unrecognized arguments: --order 5"),
         # mod4 and ob-parity hold only at m = 2, so they take no modulus at all
         (("check", "mod4", "--m", "3"), "unrecognized arguments: --m 3"),
+        (("check", "mod4", "--m", "2"), "unrecognized arguments: --m 2"),
         (("check", "mod4", "--m", "2", "--nmax", "3"), "unrecognized arguments: --m 2"),
         (("check", "ob-parity", "--m", "2", "--nmax", "11"), "unrecognized arguments: --m 2"),
     ):
@@ -415,6 +425,8 @@ def test_funceq_order_limit(capsys):
     code, out, _ = run(capsys, "check", "funceq", "--m", "50", "--order", str(ORDER_LIMIT))
     assert code == 0
     assert out == f"PASS funceq checked={ORDER_LIMIT + 1}\n"
+    code, out, _ = run(capsys, "check", "funceq", "--m", "5", "--order", "4096")
+    assert code == 0 and out == "PASS funceq checked=4097\n"
 
 
 def test_range_limit(capsys):

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semipell.series as series_mod
+from semipell.core import SearchBoundExceeded
 from semipell.enumeration import enumerate_oc
 from semipell.recurrence import sp
-from semipell.series import _divide_geometric, _peak_terms, functional_equation_residual, qm_series
+from semipell.series import ORDER_LIMIT, _divide_geometric, functional_equation_residual, qm_series
 
 # Dense list arithmetic: the slow reference the structured construction
 # is compared against.  A series is a list c[0..order]; products truncate.
@@ -75,7 +77,7 @@ def test_counting_series_matches_recurrence():
 
 
 def test_bad_order_and_modulus():
-    for fn in (_peak_terms, qm_series, functional_equation_residual):
+    for fn in (qm_series, functional_equation_residual):
         for order in (-1, 2.5, "8"):
             with pytest.raises(ValueError, match="order must be a nonnegative integer"):
                 fn(2, order)
@@ -83,10 +85,22 @@ def test_bad_order_and_modulus():
             fn(1, 8)
 
 
+def test_series_order_limit(monkeypatch):
+    def refuse(coeffs, m, base):
+        raise AssertionError("a peak factor was multiplied before the bound check")
+
+    monkeypatch.setattr(series_mod, "_times_peak", refuse)
+    with pytest.raises(SearchBoundExceeded, match="series order refuses"):
+        qm_series(2, ORDER_LIMIT + 1)
+    # the patch reaches the series: an order within the bound runs into it
+    with pytest.raises(AssertionError, match="before the bound check"):
+        qm_series(2, 1)
+
+
 def test_peak_terms_bucket_the_runforms():
     # the i-th term counts run forms whose largest base is m^i
     for m in (2, 3, 4, 5):
-        terms = _peak_terms(m, 40)
+        terms, _ = _dense_peak_terms(m, 40)
         for n in range(1, 41):
             buckets = {}
             for rf in enumerate_oc(n, m):
@@ -97,8 +111,9 @@ def test_peak_terms_bucket_the_runforms():
 
 
 def _dense_peak_terms(m, order):
-    # The run-form product with dense list products, the reference
-    # for the structured construction.
+    # The run-form product with dense list products, the reference for
+    # the structured construction: the paper's term for each peak base,
+    # and the whole product prod_t (1 + 2 P_t).
     terms = []
     prod = _one(order)
     level = 0
@@ -107,7 +122,7 @@ def _dense_peak_terms(m, order):
         terms.append(_mul(peak, prod))
         prod = _mul(prod, _add(_one(order), _scale(2, peak)))
         level += 1
-    return terms
+    return terms, prod
 
 
 def _dense_residual(q, m):
@@ -123,22 +138,16 @@ def _dense_residual(q, m):
 
 
 def test_structured_series_matches_dense_products():
+    # qm_series builds (1 + prod_t (1 + 2 P_t)) / 2; the paper's sum over
+    # peak bases and the dense product must both give the same series
     for m in range(2, 11):
         for order in sorted({0, 1, m - 1, m, m * m, 257, 600}):
-            dense = _dense_peak_terms(m, order)
-            assert _peak_terms(m, order) == dense, (m, order)
+            terms, prod = _dense_peak_terms(m, order)
             total = _one(order)
-            for term in dense:
+            for term in terms:
                 total = _add(total, term)
-            assert qm_series(m, order) == total, (m, order)
-
-
-def test_peak_terms_sum_to_the_series():
-    for m in (2, 5):
-        total = _one(64)
-        for term in _peak_terms(m, 64):
-            total = _add(total, term)
-        assert total == qm_series(m, 64)
+            halved = [(1 + c) // 2 for c in prod]
+            assert qm_series(m, order) == total == halved, (m, order)
 
 
 def test_functional_equation_residual_vanishes():
@@ -150,8 +159,6 @@ def test_functional_equation_residual_vanishes():
 
 def test_residual_catches_a_wrong_series(monkeypatch):
     # sanity: the residual is a real detector, not constantly zero
-    import semipell.series as series_mod
-
     real = series_mod.qm_series
 
     def broken(m, order):
