@@ -168,18 +168,19 @@ def _observed(report):
     return {fact: seen.get(fact, 0) for fact in ("from_oc(to_oc)", "to_oc(from_oc)", "image")}
 
 
-def test_roundtrip_check_sees_a_broken_map(monkeypatch):
+@pytest.mark.parametrize("n, m", [(9, 2), (13, 3)])
+def test_roundtrip_check_sees_a_broken_map(monkeypatch, n, m):
     import semipell.bijection as bijection
 
-    comps = enumerate_sp(9, 2)
+    comps = enumerate_sp(n, m)
     victim, other = comps[3], comps[4]
-    victim_image = to_oc(victim, 2)
+    victim_image = to_oc(victim, m)
 
     # victim's image is other's, so its true image is nobody's: every
     # fact reads to_oc and each sees the one bad object
     with monkeypatch.context() as patch:
         patch.setattr(bijection, "to_oc", lambda c, m: to_oc(other if c == victim else c, m))
-        report = roundtrip_check(9, 2)
+        report = roundtrip_check(n, m)
     assert report.checked == 3
     assert _observed(report) == {"from_oc(to_oc)": 1, "to_oc(from_oc)": 1, "image": 1}
 
@@ -187,9 +188,30 @@ def test_roundtrip_check_sees_a_broken_map(monkeypatch):
     # fail once, and the image fact, which never calls from_oc, holds
     with monkeypatch.context() as patch:
         patch.setattr(bijection, "from_oc", lambda rf, m: other if rf == victim_image else from_oc(rf, m))
-        report = roundtrip_check(9, 2)
+        report = roundtrip_check(n, m)
     assert report.checked == 3
     assert _observed(report) == {"from_oc(to_oc)": 1, "to_oc(from_oc)": 1, "image": 0}
+
+
+def test_roundtrip_check_runs_each_map_once_per_object(monkeypatch):
+    import semipell.bijection as bijection
+
+    calls = {"to_oc": 0, "from_oc": 0}
+
+    def counted(name, apply):
+        def wrapper(value, m):
+            calls[name] += 1
+            return apply(value, m)
+
+        return wrapper
+
+    monkeypatch.setattr(bijection, "to_oc", counted("to_oc", to_oc))
+    monkeypatch.setattr(bijection, "from_oc", counted("from_oc", from_oc))
+    for n, m in ((30, 2), (13, 3)):
+        calls.update(to_oc=0, from_oc=0)
+        assert roundtrip_check(n, m).passed
+        size = len(enumerate_sp(n, m))
+        assert calls == {"to_oc": size, "from_oc": size}, (n, m)
 
 
 @given(st.integers(0, 45), st.integers(2, 5), st.data())

@@ -241,6 +241,14 @@ def test_check_families_pass(capsys):
         assert code == 0, argv
         assert out.startswith("PASS"), argv
         assert "checked=" in out
+    # three oracle sweeps, two at their weight bounds, with their exact summaries
+    for argv, checked in (
+        (("check", "oracle", "--m", "2", "--nmax", "12"), 26),
+        (("check", "oracle", "--side", "sp", "--nmax", "40"), 41),
+        (("check", "oracle", "--side", "oc", "--nmax", "60"), 61),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == f"PASS oracle checked={checked}\n", argv
 
 
 def test_usage_errors_exit_2(capsys):
@@ -378,6 +386,8 @@ def test_bound_errors_exit_3(capsys):
     # the oc-only side is allowed further out
     code, _, _ = run(capsys, "check", "oracle", "--m", "2", "--nmax", "41", "--side", "oc")
     assert code == 0
+    code, out, err = run(capsys, "check", "oracle", "--side", "oc", "--nmax", "61")
+    assert code == 3 and out == "" and "oracle_oc weight refuses 61" in err
 
 
 def test_roundtrip_limit(capsys, monkeypatch):
@@ -517,10 +527,14 @@ def test_module_entry_point():
 
 
 def _loaded_after(code):
-    """The semipell, dataclasses and inspect modules in sys.modules after code runs."""
+    """The semipell, dataclasses and inspect modules in sys.modules after code runs.
+
+    The probe runs at this interpreter's optimisation level, so a run
+    under python -O checks what python -O loads.
+    """
     probe = f"{code}\nprint(*sorted(m for m in sys.modules if m.startswith(('semipell', 'dataclasses', 'inspect'))))"
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, *["-O"] * sys.flags.optimize, "-c", probe],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
@@ -545,7 +559,8 @@ COMMAND_MODULES = [
     (["enum", "5", "2", "--side", "oc"], {"core", "enumeration"}),
     (["check", "oracle", "--nmax", "8"], {"core", "enumeration"}),
     (["series", "3", "40"], {"core", "series"}),
-    (["map", "14,3,18,27", "3"], {"core", "enumeration", "bijection"}),
+    (["map", "14,3,18,27", "3"], {"core", "bijection"}),
+    (["map", "1^14,3,9^2,27", "3", "--direction", "from-oc"], {"core", "bijection"}),
     (["check", "roundtrip", "--nmax", "8"], {"core", "enumeration", "bijection"}),
     (["check", "funceq", "--order", "40"], {"core", "series"}),
     (["check", "scaling", "--jmax", "3"], {"core", "recurrence"}),
@@ -555,7 +570,7 @@ COMMAND_MODULES = [
 
 @pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[" ".join(a) for a, _ in COMMAND_MODULES])
 def test_each_command_imports_only_its_modules(argv, modules):
-    loaded = _loaded_after(f"import sys\nfrom semipell import cli\nassert cli.main({argv!r}) == 0")
+    loaded = _loaded_after(f"import sys\nfrom semipell import cli\nif cli.main({argv!r}) != 0:\n    sys.exit(1)")
     assert loaded == {"semipell", "semipell.cli"} | {f"semipell.{m}" for m in modules}
 
 
