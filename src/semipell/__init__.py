@@ -5,9 +5,9 @@ compositions are compositions whose parts have pairwise distinct,
 unimodal max m-powers; run forms are weakly unimodal compositions into
 powers of m where each part size occupies one contiguous run whose
 length is not divisible by m.  Counting, exhaustive generation, the
-part-to-run bijection, a generating-series engine and a collection of
-congruence sweeps all live in their own modules and share only exact
-integer arithmetic.
+round trip of the part-to-run bijection (whose two maps live in core), a
+generating-series engine and a collection of congruence sweeps all live
+in their own modules and share only exact integer arithmetic.
 
 Every public name can be read from the package itself (``semipell.sp``,
 ``from semipell import enumerate_oc``), but ``import semipell`` loads
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # Each public name, under the module that defines it: the one list of
 # the package's surface, from which __all__ and __getattr__ are derived.
 _EXPORTS = {
-    "bijection": ("check_roundtrip", "from_oc", "roundtrip_check", "to_oc"),
+    "bijection": ("check_roundtrip", "roundtrip_check"),
     "congruence": (
         "check_mod3",
         "check_mod4_base",
@@ -33,12 +33,14 @@ _EXPORTS = {
     "core": (
         "CongruenceReport",
         "SearchBoundExceeded",
+        "from_oc",
         "is_semi_m_pell",
         "runform_failure",
         "runform_parts",
         "tau1",
         "tau2",
         "tau3",
+        "to_oc",
     ),
     "enumeration": ("enumerate_oc", "enumerate_sp", "oracle_agreement", "oracle_oc", "oracle_sp"),
     "recurrence": ("check_plateau_identity", "check_scaling_identity", "sp", "sp_table"),

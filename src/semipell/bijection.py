@@ -1,43 +1,15 @@
-"""Weight-preserving bijection between compositions and run forms.
+"""Round trip of the part-to-run bijection, checked weight by weight.
 
-Each part of a semi-m-Pell composition factors uniquely as t = m^i * h
-with m not dividing h.  Sending the part to the run (m^i repeated h
-times) turns the sequence of max m-powers, which is distinct and
-unimodal by membership, into the run bases, which must be distinct and
-unimodal by the run-form rules.  Multiplicities inherit h, never
-divisible by m.  Reading a run (base b, multiplicity u) back as the
-single part b * u inverts the map, and weights match run by run since
-t = m^i * h = base * mult.
-
-For weight 62 and modulus 3 the composition (14, 3, 18, 27) maps to the
-run form 1^14, 3, 9^2, 27.
+For one weight the enumeration module generates both families, each by
+its own construction; the round trip checks that core's to_oc and
+from_oc invert each other on them and that to_oc's image is exactly the
+run-form family.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
-from .core import Composition, CongruenceReport, RunForm, _membership_scan, check_bound, runform_failure
-
-
-def to_oc(composition: Sequence[int], m: int) -> RunForm:
-    """Expand each part m^i * h into a run of h copies of m^i.
-
-    Rejects input that is not semi-m-Pell; the ValueError names the
-    violated condition.
-    """
-    reason, splits = _membership_scan(composition, m)
-    if reason is not None:
-        raise ValueError(f"not a semi-m-Pell composition: {reason}")
-    return tuple(splits)
-
-
-def from_oc(runs: Sequence[Tuple[int, int]], m: int) -> Composition:
-    """Collapse each run (base, mult) into the single part base * mult."""
-    reason = runform_failure(runs, m)
-    if reason is not None:
-        raise ValueError(f"not a valid run form: {reason}")
-    return tuple(base * mult for base, mult in runs)
+from .core import CongruenceReport, check_bound, check_modulus, from_oc, to_oc
+from .enumeration import ENUMERATION_LIMIT, enumerate_oc, enumerate_sp
 
 
 def roundtrip_check(n: int, m: int) -> CongruenceReport:
@@ -57,10 +29,9 @@ def roundtrip_check(n: int, m: int) -> CongruenceReport:
 def check_roundtrip(m: int, n_max: int) -> CongruenceReport:
     """roundtrip_check's three facts for every weight 0 <= n <= n_max, as one report.
 
-    n_max above ENUMERATION_LIMIT is refused before any weight is generated.
+    The modulus, then n_max above ENUMERATION_LIMIT, is refused before any weight is generated.
     """
-    from .enumeration import ENUMERATION_LIMIT
-
+    check_modulus(m)
     check_bound(n_max, ENUMERATION_LIMIT, "roundtrip n_max")
     report = CongruenceReport("roundtrip", {"m": m, "n_max": n_max})
     for n in range(n_max + 1):
@@ -77,8 +48,6 @@ def _record_roundtrip(report: CongruenceReport, n: int, m: int) -> None:
     calls both maps afresh only for a run form outside the settled set,
     and none is outside when the first and third facts hold.
     """
-    from .enumeration import enumerate_oc, enumerate_sp
-
     compositions = enumerate_sp(n, m)
     runforms = enumerate_oc(n, m)
     images = [to_oc(c, m) for c in compositions]

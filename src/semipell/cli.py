@@ -23,8 +23,8 @@ record of where each public name lives, gives the module to load.
 Start-up is most of a short command's time, so a command builds only its
 own arguments, and imports the library modules it runs when it runs
 (count, for instance, loads recurrence and nothing else).  At import this
-module loads only core, which holds the errors main maps to exit codes
-and the report every check prints.
+module loads only core, which holds the errors main maps to exit codes,
+the report every check prints and the two maps that map applies.
 
 Compositions print as (1,2) and run forms as (1^3,2), with the
 multiplicity omitted when it is 1; the same syntax, minus the
@@ -39,7 +39,7 @@ from importlib import import_module
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _MODULE_OF
-from .core import SearchBoundExceeded, check_bound
+from .core import SearchBoundExceeded, check_bound, from_oc, to_oc
 
 
 def format_composition(parts: Sequence[int]) -> str:
@@ -143,8 +143,6 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    from .bijection import from_oc, to_oc
-
     if args.direction == "to-oc":
         parse, apply, show = parse_composition, to_oc, format_runform
     else:

@@ -12,8 +12,12 @@ The same objects have a second life as "run forms": weakly unimodal
 compositions whose parts are powers of m, where each part size occupies
 a single contiguous run and no run length is divisible by m.  A run form
 is stored as a tuple of (base, multiplicity) pairs in positional order.
-Expanding part t = m^i * h (m not dividing h) into a run of h copies of
-m^i converts one family into the other; see the bijection module.
+to_oc expands each part t = m^i * h (m not dividing h) into a run of h
+copies of m^i: the max m-powers, distinct and unimodal by membership,
+become the distinct, unimodal run bases, and no multiplicity h is
+divisible by m.  from_oc reads each run back as the single part
+base * mult, inverting the map run by run.  For m = 3 the composition
+(14, 3, 18, 27) maps to the run form 1^14, 3, 9^2, 27.
 
 Three reversible operators shrink a semi-m-Pell composition while
 preserving membership: tau1 deletes a boundary part smaller than m,
@@ -154,6 +158,18 @@ def is_semi_m_pell(composition: Sequence[int], m: int) -> bool:
     return _membership_scan(composition, m)[0] is None
 
 
+def to_oc(composition: Sequence[int], m: int) -> RunForm:
+    """Expand each part m^i * h into a run of h copies of m^i.
+
+    Rejects input that is not semi-m-Pell; the ValueError names the
+    violated condition.
+    """
+    reason, splits = _membership_scan(composition, m)
+    if reason is not None:
+        raise ValueError(f"not a semi-m-Pell composition: {reason}")
+    return tuple(splits)
+
+
 def tau1(composition: Sequence[int], m: int) -> Composition:
     """Delete a boundary part smaller than m (first one wins a tie).
 
@@ -203,14 +219,18 @@ def runform_parts(runs: RunForm) -> Composition:
 def runform_failure(runs: Sequence[Tuple[int, int]], m: int) -> Optional[str]:
     """Why a run sequence is not a valid run form, or None if it is.
 
-    Checks, in order: positive bases that are powers of m, positive
-    multiplicities not divisible by m, pairwise distinct bases (each
-    part size lives in one place), and bases that rise strictly to a
-    unique peak then fall strictly.
+    Checks, in order: runs that are (base, multiplicity) pairs, positive
+    bases that are powers of m, positive multiplicities not divisible by
+    m, pairwise distinct bases (each part size lives in one place), and
+    bases that rise strictly to a unique peak then fall strictly.
     """
     check_modulus(m)
     bases = []
-    for base, mult in runs:
+    for run in runs:
+        try:
+            base, mult = run
+        except (TypeError, ValueError):
+            return f"run {run!r} is not a (base, multiplicity) pair"
         if not isinstance(base, int) or base < 1:
             return f"run base {base!r} is not a positive integer"
         b = base
@@ -235,3 +255,11 @@ def runform_failure(runs: Sequence[Tuple[int, int]], m: int) -> Optional[str]:
             if bases[i] <= bases[i + 1]:
                 return "run bases not unimodal"
     return None
+
+
+def from_oc(runs: Sequence[Tuple[int, int]], m: int) -> Composition:
+    """Collapse each run (base, mult) into the single part base * mult."""
+    reason = runform_failure(runs, m)
+    if reason is not None:
+        raise ValueError(f"not a valid run form: {reason}")
+    return tuple(base * mult for base, mult in runs)

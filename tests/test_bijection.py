@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semipell.bijection import from_oc, roundtrip_check, to_oc
-from semipell.core import NOT_DISTINCT, NOT_UNIMODAL, _membership_scan, is_semi_m_pell
+from semipell.bijection import roundtrip_check
+from semipell.core import NOT_DISTINCT, NOT_UNIMODAL, _membership_scan, from_oc, is_semi_m_pell, to_oc
 from semipell.enumeration import enumerate_oc, enumerate_sp
 
 # the two published weight classes are listed in matching order, so the

@@ -331,6 +331,37 @@ def test_sweeps_refuse_their_bound_before_any_work(monkeypatch):
             fn(*within)
 
 
+# every function that takes a modulus, with m = 1 and its other arguments
+# past their bound: the modulus is checked first, so each raises the
+# modulus error and not SearchBoundExceeded.  sp_table is left out on
+# purpose: it checks its product bound first, since checking every
+# modulus of range(2, 10**12) before the bound would be unbounded work.
+MODULUS_FIRST = [
+    (check_oddness, (RANGE_LIMIT + 1, 1)),
+    (check_mod4_general, (1, RANGE_LIMIT)),
+    (check_mod3, (1, RANGE_LIMIT)),
+    (check_partial_sum_mod3, (1, RANGE_LIMIT)),
+    (check_plateau_identity, (RANGE_LIMIT, 1)),
+    (check_scaling_identity, (1, 10**12, 2)),
+    (series.qm_series, (1, ORDER_LIMIT + 1)),
+    (functional_equation_residual, (1, ORDER_LIMIT + 1)),
+    (series.check_functional_equation, (1, ORDER_LIMIT + 1)),
+    (enumeration.enumerate_sp, (ENUMERATION_LIMIT + 1, 1)),
+    (enumeration.enumerate_oc, (ENUMERATION_LIMIT + 1, 1)),
+    (enumeration.oracle_sp, (enumeration.SP_ORACLE_LIMIT + 1, 1)),
+    (enumeration.oracle_oc, (enumeration.OC_ORACLE_LIMIT + 1, 1)),
+    (oracle_agreement, (1, ENUMERATION_LIMIT + 1)),
+    (bijection.check_roundtrip, (1, ENUMERATION_LIMIT + 1)),
+]
+
+
+@pytest.mark.parametrize("fn, args", MODULUS_FIRST, ids=[fn.__name__ for fn, _ in MODULUS_FIRST])
+def test_modulus_is_checked_before_the_bound(fn, args):
+    with pytest.raises(ValueError, match="modulus must be an integer >= 2") as err:
+        fn(*args)
+    assert err.type is ValueError
+
+
 def test_sweeps_build_only_their_own_rows():
     # m = 3 * 10^5 + 1 admits the mod 3 family, whose m - 1 rows would
     # take tens of MB; no other family may build them, and mod 3 itself

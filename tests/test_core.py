@@ -1,17 +1,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from semipell.bijection import to_oc
 from semipell.core import (
     NOT_DISTINCT,
     NOT_UNIMODAL,
     _membership_scan,
+    from_oc,
     is_semi_m_pell,
     runform_failure,
     runform_parts,
     tau1,
     tau2,
     tau3,
+    to_oc,
 )
 
 # the max m-power of a part is read from the split the membership scan
@@ -146,6 +147,20 @@ def test_runform_validation_failures():
     assert runform_failure(((1, 0),), 2) is not None
     assert runform_failure(((0, 3),), 2) is not None
     assert runform_failure(((4, 1), (1, 1), (2, 1)), 2) == "run bases not unimodal"
+
+
+def test_runform_validation_refuses_a_run_that_is_not_a_pair():
+    # a bare integer, a 1-tuple and a 3-tuple are each refused with a
+    # reason, and from_oc raises it with the run-form prefix
+    for run in (1, (1,), (1, 2, 3)):
+        reason = f"run {run!r} is not a (base, multiplicity) pair"
+        assert runform_failure([run], 2) == reason
+        with pytest.raises(ValueError) as err:
+            from_oc([run], 2)
+        assert str(err.value) == f"not a valid run form: {reason}"
+    # a list pair is a pair
+    assert runform_failure([[1, 1]], 2) is None
+    assert from_oc([[1, 1]], 2) == (1,)
 
 
 @given(st.integers(0, 40), st.integers(2, 5), st.data())
