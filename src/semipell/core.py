@@ -34,7 +34,7 @@ decide whether a violation is fatal.
 from __future__ import annotations
 
 from itertools import chain, repeat, starmap
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 # A composition is a tuple of positive parts; a run form is a tuple of
 # (base, multiplicity) pairs.  Plain tuples keep the combinatorics cheap
@@ -115,21 +115,21 @@ class CongruenceReport:
 
 
 def _membership_scan(
-    composition: Sequence[int], m: int
-) -> Tuple[Optional[str], List[Tuple[int, int]]]:
-    """One left-to-right pass: split each part, stop at the first failure.
+    composition: Sequence[int], m: int, splits: Optional[List[Tuple[int, int]]] = None
+) -> Optional[str]:
+    """One left-to-right pass over the parts, stopping at the first failure.
 
     Each part t is split once as t = x * h with x its max m-power and m
-    not dividing h.  Returns (reason, splits): reason is None for a
-    member, otherwise NOT_DISTINCT or NOT_UNIMODAL for the first
-    violation met, and splits holds the (x, h) pairs of the parts read
-    before it.  A repeated power fails distinctness; a rise after any
-    fall fails unimodality (equal neighbours are already repeats, so all
+    not dividing h.  Returns None for a member, otherwise NOT_DISTINCT
+    or NOT_UNIMODAL for the first violation met.  Given a list as
+    splits, the scan appends the (x, h) pair of every part it reads
+    before the failure; without one it builds no pair at all.  A
+    repeated power fails distinctness; a rise after any fall fails
+    unimodality (equal neighbours are already repeats, so all
     comparisons are strict).  Both failures are closed under extension,
     so stopping early never changes the verdict.
     """
     check_modulus(m)
-    splits: List[Tuple[int, int]] = []
     seen = set()
     prev = 0
     falling = False
@@ -142,20 +142,21 @@ def _membership_scan(
             h //= m
             x *= m
         if x in seen:
-            return NOT_DISTINCT, splits
+            return NOT_DISTINCT
         seen.add(x)
         if x < prev:
             falling = True
         elif falling:
-            return NOT_UNIMODAL, splits
+            return NOT_UNIMODAL
         prev = x
-        splits.append((x, h))
-    return None, splits
+        if splits is not None:
+            splits.append((x, h))
+    return None
 
 
 def is_semi_m_pell(composition: Sequence[int], m: int) -> bool:
     """True iff the max m-powers of the parts are distinct and unimodal."""
-    return _membership_scan(composition, m)[0] is None
+    return _membership_scan(composition, m) is None
 
 
 def to_oc(composition: Sequence[int], m: int) -> RunForm:
@@ -164,7 +165,8 @@ def to_oc(composition: Sequence[int], m: int) -> RunForm:
     Rejects input that is not semi-m-Pell; the ValueError names the
     violated condition.
     """
-    reason, splits = _membership_scan(composition, m)
+    splits: List[Tuple[int, int]] = []
+    reason = _membership_scan(composition, m, splits)
     if reason is not None:
         raise ValueError(f"not a semi-m-Pell composition: {reason}")
     return tuple(splits)
@@ -216,16 +218,26 @@ def runform_parts(runs: RunForm) -> Composition:
     return tuple(chain.from_iterable(starmap(repeat, runs)))
 
 
-def runform_failure(runs: Sequence[Tuple[int, int]], m: int) -> Optional[str]:
+def runform_failure(runs: Iterable[Tuple[int, int]], m: int) -> Optional[str]:
     """Why a run sequence is not a valid run form, or None if it is.
 
     Checks, in order: runs that are (base, multiplicity) pairs, positive
     bases that are powers of m, positive multiplicities not divisible by
     m, pairwise distinct bases (each part size lives in one place), and
     bases that rise strictly to a unique peak then fall strictly.
+
+    One pass reads each run once.  A run that fails its own checks is
+    reported at once; the first repeated base and the first rise after
+    a fall are only noted, because a later run may still fail its own
+    checks, and are reported after the pass, the repeat first.  With
+    distinct bases, rising until the first fall and never rising again
+    is the same as rising strictly to the maximum and falling after it.
     """
     check_modulus(m)
-    bases = []
+    seen = set()
+    repeated = None
+    prev = 0
+    falling = rose_after_fall = False
     for run in runs:
         try:
             base, mult = run
@@ -242,24 +254,29 @@ def runform_failure(runs: Sequence[Tuple[int, int]], m: int) -> Optional[str]:
             return f"run multiplicity {mult!r} is not a positive integer"
         if mult % m == 0:
             return f"run multiplicity {mult} is divisible by {m}"
-        bases.append(base)
-    if len(set(bases)) != len(bases):
-        dup = next(b for i, b in enumerate(bases) if b in bases[:i])
-        return f"run base {dup} occurs in more than one place"
-    if bases:
-        peak = bases.index(max(bases))
-        for i in range(peak):
-            if bases[i] >= bases[i + 1]:
-                return "run bases not unimodal"
-        for i in range(peak, len(bases) - 1):
-            if bases[i] <= bases[i + 1]:
-                return "run bases not unimodal"
+        if repeated is None and base in seen:
+            repeated = base
+        seen.add(base)
+        if base < prev:
+            falling = True
+        elif falling:
+            rose_after_fall = True
+        prev = base
+    if repeated is not None:
+        return f"run base {repeated} occurs in more than one place"
+    if rose_after_fall:
+        return "run bases not unimodal"
     return None
 
 
-def from_oc(runs: Sequence[Tuple[int, int]], m: int) -> Composition:
-    """Collapse each run (base, mult) into the single part base * mult."""
+def from_oc(runs: Iterable[Tuple[int, int]], m: int) -> Composition:
+    """Collapse each run (base, mult) into the single part base * mult.
+
+    runs is read once, so an iterator or a generator is accepted like
+    a sequence.
+    """
+    runs = tuple(runs)
     reason = runform_failure(runs, m)
     if reason is not None:
         raise ValueError(f"not a valid run form: {reason}")
-    return tuple(base * mult for base, mult in runs)
+    return tuple([base * mult for base, mult in runs])

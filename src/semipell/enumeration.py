@@ -51,7 +51,8 @@ after a fall; both failures survive any extension, so only prefixes of
 members are visited, and every complete composition still goes through
 the membership test.  oracle_oc searches all ways to pick distinct
 powers of m with multiplicities not divisible by m summing to n, then
-arranges each non-peak power on the left or right of the peak.  Both
+arranges each non-peak power on the left or right of the peak; it
+prunes by divisibility alone, never by the shape of a form.  Both
 refuse weights above a hard bound rather than grind.
 """
 
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import countOf, itemgetter
 from typing import List
 
@@ -237,6 +238,15 @@ def oracle_oc(n: int, m: int) -> List[RunForm]:
     divisible by m whose weighted sum is n, then sends every non-peak
     power to the left or the right of the peak; left runs ascend and
     right runs descend, so each choice yields exactly one run form.
+
+    The bases are picked in ascending order, and the search is pruned
+    by divisibility alone.  Every base after b is a multiple of m * b,
+    so a remainder R is reachable only if b divides it: the walk stops
+    at the first base that does not.  Taking b with multiplicity u
+    leaves R - b * u, which the later bases can fill only if it is 0 or
+    a multiple of m * b, that is if u = R / b mod m.  So a base whose
+    quotient R / b is divisible by m is skipped (its u would be too),
+    and u steps by m from R / b mod m up to R / b.
     """
     check_modulus(m)
     check_bound(n, OC_ORACLE_LIMIT, "oracle_oc weight")
@@ -251,22 +261,26 @@ def oracle_oc(n: int, m: int) -> List[RunForm]:
     chosen: List[tuple] = []  # (base, mult), bases ascending
 
     def rec(idx: int, remaining: int) -> None:
-        if remaining == 0 and chosen:
-            peak = chosen[-1]
-            rest = chosen[:-1]
-            for sides in product((0, 1), repeat=len(rest)):
-                left = tuple(run for run, s in zip(rest, sides) if s == 0)
-                right = tuple(run for run, s in zip(rest, sides) if s == 1)
-                found.append(left + (peak,) + right[::-1])
+        if remaining == 0:
+            # place the runs below the peak from the largest down, each
+            # at the far left or the far right of every form so far
+            forms = [(chosen[-1],)]
+            for run in reversed(chosen[:-1]):
+                single = (run,)
+                forms = [single + rf for rf in forms] + [rf + single for rf in forms]
+            found.extend(forms)
+            return
         for i in range(idx, len(powers)):
             base = powers[i]
-            if base > remaining:
+            if remaining % base:
                 break
-            for mult in range(1, remaining // base + 1):
-                if mult % m:
-                    chosen.append((base, mult))
-                    rec(i + 1, remaining - base * mult)
-                    chosen.pop()
+            quotient = remaining // base
+            if quotient % m == 0:
+                continue
+            for mult in range(quotient % m, quotient + 1, m):
+                chosen.append((base, mult))
+                rec(i + 1, remaining - base * mult)
+                chosen.pop()
 
     rec(0, n)
     if len(set(found)) != len(found):

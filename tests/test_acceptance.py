@@ -202,9 +202,9 @@ def test_criterion_9_structural_agreement():
         (3, 4, 6, 2): NOT_DISTINCT,
     }
     wrong_reason = {
-        comp: _membership_scan(comp, 2)[0]
+        comp: _membership_scan(comp, 2)
         for comp, reason in rejections.items()
-        if _membership_scan(comp, 2)[0] != reason or is_semi_m_pell(comp, 2)
+        if _membership_scan(comp, 2) != reason or is_semi_m_pell(comp, 2)
     }
     report(
         9,

@@ -99,7 +99,7 @@ def test_to_oc_rejects_exactly_the_non_members():
     for m in (2, 3):
         for n in range(15):
             for comp in _compositions(n):
-                reason = _membership_scan(comp, m)[0]
+                reason = _membership_scan(comp, m)
                 try:
                     rf = to_oc(comp, m)
                 except ValueError as err:
@@ -117,7 +117,7 @@ def test_bad_parts_raise():
                 with pytest.raises(ValueError, match="positive integers"):
                     check(comp, 2)
     # the scan stops at the first failure, so a later part is never read
-    assert _membership_scan((2, 2, 0), 2)[0] == NOT_DISTINCT
+    assert _membership_scan((2, 2, 0), 2) == NOT_DISTINCT
     assert not is_semi_m_pell((2, 2, 0), 2)
     with pytest.raises(ValueError, match=NOT_DISTINCT):
         to_oc((2, 2, 0), 2)
@@ -191,6 +191,33 @@ def test_roundtrip_check_sees_a_broken_map(monkeypatch, n, m):
         report = roundtrip_check(n, m)
     assert report.checked == 3
     assert _observed(report) == {"from_oc(to_oc)": 1, "to_oc(from_oc)": 1, "image": 0}
+
+
+def test_roundtrip_check_sees_a_shared_image_sent_back_twice(monkeypatch):
+    import semipell.bijection as bijection
+
+    n, m = 9, 2
+    comps = enumerate_sp(n, m)
+    first, second = comps[3], comps[4]
+    shared = to_oc(first, m)
+
+    def run(sent_back):
+        # to_oc sends both compositions to first's image, and from_oc
+        # answers that image with sent_back in turn
+        answers = itertools.cycle(sent_back)
+        with monkeypatch.context() as patch:
+            patch.setattr(bijection, "to_oc", lambda c, m: to_oc(first if c == second else c, m))
+            patch.setattr(bijection, "from_oc", lambda rf, m: next(answers) if rf == shared else from_oc(rf, m))
+            report = roundtrip_check(n, m)
+        assert report.checked == 3
+        return _observed(report)
+
+    # every back is its own composition, yet second's true image is
+    # nobody's: it fails the image fact, and its round trip through the
+    # shared image fails the second fact
+    assert run((first, second)) == {"from_oc(to_oc)": 0, "to_oc(from_oc)": 1, "image": 1}
+    # sent back the other way round, both backs are wrong as well
+    assert run((second, first)) == {"from_oc(to_oc)": 2, "to_oc(from_oc)": 1, "image": 1}
 
 
 def test_roundtrip_check_runs_each_map_once_per_object(monkeypatch):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from semipell.core import (
     NOT_DISTINCT,
@@ -60,12 +60,12 @@ def test_membership_knowns():
 
 def test_membership_rejections_with_reason():
     # valley in the powers: 2, 1, 4
-    assert _membership_scan((2, 9, 4), 2)[0] == NOT_UNIMODAL
-    assert _membership_scan((1, 4, 2, 8), 2)[0] == NOT_UNIMODAL
+    assert _membership_scan((2, 9, 4), 2) == NOT_UNIMODAL
+    assert _membership_scan((1, 4, 2, 8), 2) == NOT_UNIMODAL
     # repeated powers
-    assert _membership_scan((2, 10, 3), 2)[0] == NOT_DISTINCT
-    assert _membership_scan((3, 4, 6, 2), 2)[0] == NOT_DISTINCT
-    assert _membership_scan((14, 3, 18, 27), 3)[0] is None
+    assert _membership_scan((2, 10, 3), 2) == NOT_DISTINCT
+    assert _membership_scan((3, 4, 6, 2), 2) == NOT_DISTINCT
+    assert _membership_scan((14, 3, 18, 27), 3) is None
 
 
 def test_membership_rejects_nonpositive_parts():
@@ -77,7 +77,18 @@ def test_membership_rejects_nonpositive_parts():
 
 @given(st.lists(st.integers(1, 400), max_size=7), st.integers(2, 8))
 def test_membership_and_failure_agree(parts, m):
-    assert is_semi_m_pell(parts, m) == (_membership_scan(parts, m)[0] is None)
+    assert is_semi_m_pell(parts, m) == (_membership_scan(parts, m) is None)
+
+
+def test_membership_scan_splits_only_on_request():
+    # given a list, the scan appends the (x, h) split of each part read
+    # before the first failure; is_semi_m_pell passes none
+    splits = []
+    assert _membership_scan((2, 9, 4), 2, splits) == NOT_UNIMODAL
+    assert splits == [(2, 1), (1, 9)]
+    splits = []
+    assert _membership_scan((14, 3, 18, 27), 3, splits) is None
+    assert splits == [(1, 14), (3, 1), (9, 2), (27, 1)]
 
 
 def test_tau1():
@@ -147,6 +158,109 @@ def test_runform_validation_failures():
     assert runform_failure(((1, 0),), 2) is not None
     assert runform_failure(((0, 3),), 2) is not None
     assert runform_failure(((4, 1), (1, 1), (2, 1)), 2) == "run bases not unimodal"
+
+
+def _two_phase_runform_failure(runs, m):
+    # the reference validator: every run's own checks first, then the
+    # repeated bases, then the shape of the whole base sequence
+    bases = []
+    for run in runs:
+        try:
+            base, mult = run
+        except (TypeError, ValueError):
+            return f"run {run!r} is not a (base, multiplicity) pair"
+        if not isinstance(base, int) or base < 1:
+            return f"run base {base!r} is not a positive integer"
+        b = base
+        while b % m == 0:
+            b //= m
+        if b != 1:
+            return f"run base {base} is not a power of {m}"
+        if not isinstance(mult, int) or mult < 1:
+            return f"run multiplicity {mult!r} is not a positive integer"
+        if mult % m == 0:
+            return f"run multiplicity {mult} is divisible by {m}"
+        bases.append(base)
+    if len(set(bases)) != len(bases):
+        dup = next(b for i, b in enumerate(bases) if b in bases[:i])
+        return f"run base {dup} occurs in more than one place"
+    if bases:
+        peak = bases.index(max(bases))
+        for i in range(peak):
+            if bases[i] >= bases[i + 1]:
+                return "run bases not unimodal"
+        for i in range(peak, len(bases) - 1):
+            if bases[i] <= bases[i + 1]:
+                return "run bases not unimodal"
+    return None
+
+
+def _mostly(good, bad):
+    # about one draw in twenty from bad
+    return st.sampled_from([good] * 19 + [bad]).flatmap(lambda strategy: strategy)
+
+
+def _runs(m):
+    # mostly pairs of powers of m and multiplicities prime to m, so
+    # repeats, valleys and valid forms all come up; now and then a bad
+    # field, or a run that is not a pair at all
+    base = _mostly(st.sampled_from([m**i for i in range(5)]), st.sampled_from([0, -m, m + 1, 6 * m, 2.0, "1"]))
+    mult = _mostly(st.sampled_from([1, m - 1, m + 1, 2 * m + 1]), st.sampled_from([m, 2 * m, 0, -1, 1.5]))
+    pair = st.tuples(base, mult)
+    pair = st.one_of(pair, pair.map(list))
+    not_pair = st.sampled_from([7, (1,), (1, 2, 3), None, "ab"])
+    # distinct valid bases in any order: valleys, rises after a fall and
+    # valid forms
+    power = st.sampled_from([m**i for i in range(7)])
+    distinct = st.lists(st.tuples(power, mult), max_size=7, unique_by=lambda run: run[0])
+    return st.one_of(st.lists(_mostly(pair, not_pair), max_size=7), distinct)
+
+
+@given(st.integers(2, 6).flatmap(lambda m: st.tuples(st.just(m), _runs(m))))
+@settings(max_examples=300, deadline=None)
+def test_runform_validator_matches_the_two_phase_reference(case):
+    m, runs = case
+    assert runform_failure(runs, m) == _two_phase_runform_failure(runs, m)
+
+
+def test_runform_validator_reasons_keep_their_order():
+    cases = [
+        # a repeat on both sides of the peak, which rises and falls strictly
+        (((2, 1), (4, 1), (16, 1), (2, 1), (1, 1)), 2, "run base 2 occurs in more than one place"),
+        (((1, 1), (3, 1), (27, 2), (3, 1)), 3, "run base 3 occurs in more than one place"),
+        # a valley, and a rise after the fall
+        (((4, 1), (1, 1), (2, 1)), 2, "run bases not unimodal"),
+        (((1, 1), (8, 1), (2, 1), (4, 1)), 2, "run bases not unimodal"),
+        # a repeat beats an earlier valley, and the first repeat is named
+        (((4, 1), (1, 1), (2, 1), (4, 1), (1, 1)), 2, "run base 4 occurs in more than one place"),
+        (((5, 1), (25, 1), (1, 1), (25, 1), (5, 1)), 5, "run base 25 occurs in more than one place"),
+        # a later run's own failure beats an earlier repeat or valley
+        (((2, 1), (2, 1), (6, 1)), 2, "run base 6 is not a power of 2"),
+        (((4, 1), (1, 1), (2, 1), (1, 4)), 2, "run multiplicity 4 is divisible by 2"),
+        (((1, 1), (1, 1), 7), 2, "run 7 is not a (base, multiplicity) pair"),
+        (((3, 1), (1, 0)), 3, "run multiplicity 0 is not a positive integer"),
+        (((3, 1), (1, 1.0)), 3, "run multiplicity 1.0 is not a positive integer"),
+        (((0, 1),), 4, "run base 0 is not a positive integer"),
+        (((6, 1),), 6, None),
+        (((1, 6),), 6, "run multiplicity 6 is divisible by 6"),
+        (((36, 5), (6, 7), (1, 1)), 6, None),
+    ]
+    for runs, m, reason in cases:
+        assert _two_phase_runform_failure(runs, m) == reason, runs
+        assert runform_failure(runs, m) == reason, runs
+
+
+def test_from_oc_reads_its_runs_once():
+    # an iterator or a generator is read once, validated and collapsed
+    assert from_oc(iter([(1, 1), (2, 1)]), 2) == (1, 2)
+    assert from_oc((run for run in ((1, 3), (4, 1), (2, 1))), 2) == (3, 4, 2)
+    assert from_oc(iter(()), 2) == ()
+    assert runform_failure(iter([(1, 1), (2, 1)]), 2) is None
+    # and a one-shot invalid form is still refused
+    with pytest.raises(ValueError, match="not a valid run form: run bases not unimodal"):
+        from_oc(iter([(4, 1), (1, 1), (2, 1)]), 2)
+    with pytest.raises(ValueError, match="run multiplicity 2 is divisible by 2"):
+        from_oc((run for run in [(1, 1), (2, 2)]), 2)
 
 
 def test_runform_validation_refuses_a_run_that_is_not_a_pair():

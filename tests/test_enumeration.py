@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import itertools
 import re
 from collections import Counter
 from pathlib import Path
@@ -173,6 +174,49 @@ def test_pruned_oracle_matches_unpruned_walk():
     for m in (2, 3, 4, 5):
         for n in range(0, 17):
             assert oracle_sp(n, m) == _unpruned_oracle_sp(n, m), (n, m)
+
+
+def _unpruned_oracle_oc(n, m):
+    # the reference search: every multiplicity not divisible by m of
+    # every base up to the remainder is tried, with no divisibility
+    # prune, and each pick is arranged by every left/right choice at once
+    if n == 0:
+        return [()]
+    powers = []
+    p = 1
+    while p <= n:
+        powers.append(p)
+        p *= m
+    found = []
+    chosen = []
+
+    def rec(idx, remaining):
+        if remaining == 0 and chosen:
+            peak = chosen[-1]
+            rest = chosen[:-1]
+            for sides in itertools.product((0, 1), repeat=len(rest)):
+                left = tuple(run for run, s in zip(rest, sides) if s == 0)
+                right = tuple(run for run, s in zip(rest, sides) if s == 1)
+                found.append(left + (peak,) + right[::-1])
+        for i in range(idx, len(powers)):
+            base = powers[i]
+            if base > remaining:
+                break
+            for mult in range(1, remaining // base + 1):
+                if mult % m:
+                    chosen.append((base, mult))
+                    rec(i + 1, remaining - base * mult)
+                    chosen.pop()
+
+    rec(0, n)
+    assert len(set(found)) == len(found)
+    return sorted(found, key=runform_parts)
+
+
+def test_pruned_oc_oracle_matches_unpruned_search():
+    for m in (2, 3, 4, 5):
+        for n in range(0, 41):
+            assert oracle_oc(n, m) == _unpruned_oracle_oc(n, m), (n, m)
 
 
 def test_oracle_leaves_go_through_membership(monkeypatch):
