@@ -8,8 +8,6 @@ run-form family.
 
 from __future__ import annotations
 
-from operator import ne
-
 from .core import CongruenceReport, check_bound, check_modulus, from_oc, to_oc
 from .enumeration import ENUMERATION_LIMIT, enumerate_oc, enumerate_sp
 
@@ -48,23 +46,16 @@ def _record_roundtrip(report: CongruenceReport, n: int, m: int) -> None:
     on every image.  An image rf whose back is its own composition c is
     settled, since to_oc(from_oc(rf)) = to_oc(c) = rf; so the second fact
     calls both maps afresh only for a run form outside the settled set,
-    and none is outside when the first and third facts hold.  Each image
-    and each run form is hashed once: when every back is its own
-    composition the settled set is the set of images, and the unsettled
-    run forms are a difference of sets that are already built.
+    and none is outside when the first and third facts hold.
     """
     compositions = enumerate_sp(n, m)
     runforms = enumerate_oc(n, m)
     images = [to_oc(c, m) for c in compositions]
     backs = [from_oc(rf, m) for rf in images]
-    image_set = set(images)
-    runform_set = set(runforms)
-    wrong_backs = sum(map(ne, backs, compositions))
-    settled = {rf for c, rf, back in zip(compositions, images, backs) if back == c} if wrong_backs else image_set
-    unsettled = runform_set - settled
+    settled = {rf for c, rf, back in zip(compositions, images, backs) if back == c}
     observed = [
-        wrong_backs,
-        sum(to_oc(from_oc(rf, m), m) != rf for rf in runforms if rf in unsettled) if unsettled else 0,
-        len(image_set ^ runform_set),
+        sum(back != c for c, back in zip(compositions, backs)),
+        sum(to_oc(from_oc(rf, m), m) != rf for rf in runforms if rf not in settled),
+        len(set(images) ^ set(runforms)),
     ]
     report.record_all(observed, [0, 0, 0], lambda i: f"n={n}:" + ("from_oc(to_oc)", "to_oc(from_oc)", "image")[i])
