@@ -11,7 +11,8 @@ enum, roundtrip and the oracle sweep stop at the search bounds of the
 enumeration module, table and the check sweeps refuse dense count
 ranges past recurrence.RANGE_LIMIT, ob-parity n above
 congruence.OB_PARITY_LIMIT, scaling scaled weights above
-recurrence.COUNT_LIMIT, and series and funceq orders above
+recurrence.COUNT_LIMIT and more point counts than
+recurrence.SCALING_LIMIT, and series and funceq orders above
 series.ORDER_LIMIT.  This module adds one: count refuses n above
 recurrence.COUNT_LIMIT.
 

@@ -18,8 +18,11 @@ Telescoping the two-term branch gives the plateau identity
     sp(mq + r, m) = 1 + 2 (sp(1, m) + ... + sp(q, m))    for 0 < r < m,
 
 so a point count is a prefix sum of counts at a weight m times smaller.
-sp evaluates that prefix sum in one pass over the base-m digits of q,
-with O(log_m n) levels of exact integer arithmetic and no memo; this is
+With b(0) = 1, b(t) = 2 sp(t, m) for t >= 1 and B(x) = b(0) + ... + b(x),
+sp(mq + r, m) = B(q), b(mt) = b(t) and b(mt + c) = 2 B(t) for 0 < c < m.
+sp finds B(q) in one pass over the base-m digits of q, carrying b(x) and
+the moments Q[i] = sum_{t < x} C(x - 1 - t, i) b(t) of the prefix x: one
+table steps every level without reading x, and no memo is kept; this is
 the prefix-sum structure of Mahler's partition problem (de Bruijn 1948,
 Knuth 1966).  Dense ranges sp(0..n_max) come from the recurrence itself,
 bottom up; the sweeps read their values from those ranges, so the
@@ -32,7 +35,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb
 from operator import mul
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .core import CongruenceReport, check_bound, check_modulus, check_nonneg
 
@@ -42,9 +45,11 @@ from .core import CongruenceReport, check_bound, check_modulus, check_nonneg
 # its counts from one dense list up to its top weight, sp_table from one
 # list per modulus; RANGE_LIMIT bounds that weight, and sp_table's
 # total, at a quarter second and tens of MB.  Each sweep refuses its own
-# top weight before it allocates anything.
+# top weight before it allocates anything.  SCALING_LIMIT caps the
+# scaling sweep's point counts, and so its top weight, at 1.6 s (m = 2).
 COUNT_LIMIT = 10**50
 RANGE_LIMIT = 10**6
+SCALING_LIMIT = 10**4
 
 
 def _sp_range(n_max: int, m: int) -> List[int]:
@@ -73,69 +78,61 @@ def _stretched_rows(m: int, depth: int) -> List[List[int]]:
     return rows
 
 
-def _prefix_count(q: int, m: int) -> int:
-    """sp(0, m) + sp(1, m) + ... + sp(q, m), one level per base-m digit of q.
+def _level_table(m: int, depth: int) -> List[List[int]]:
+    """Row j <= depth takes the moments Q at a prefix x to Q[j] at m x.
 
-    Each level replaces the prefix x by x' = m x + d and carries
-
-        P[i] = sum_{t < x} C(t, i) sp(t)    and    T = sum_{t <= x} sp(t).
-
-    Splitting k < x' as k = m t + r: the terms r = 0 give sp(t), and
-    the terms 0 < r < m give 2 T(t) - 1 by the plateau identity.  Their
-    binomial weights C(m t + r, j) summed over 0 < r < m are
-    C(m t + m, j + 1) - C(m t + 1, j + 1) (hockey stick), a polynomial of
-    degree j in t, so no level loops over residues.  Both terms come from
-    the one table of C(m t, j) in the basis C(t, i): the first is row
-    j + 1 shifted by one in t, the second is rows j + 1 and j added
-    (Pascal), so fill[j][i] = scaled[j + 1][i + 1] - scaled[j][i].
-    Rewritten in the basis C(t, i), the sum over t < x of C(t, i) T(t) is
-    C(x, i + 1) P[0] - P[i + 1], and P[j] at x' needs P up to j + 1 at x:
-    the degree the top level needs, 0, rises by one per level below it.
+    Term t < x, v = x - 1 - t from the end, gives b(t) at m v + m - 1 and
+    2 B(t) at m v + c, c < m - 1: rows C(m v, j - a) of _stretched_rows
+    times C(m - 1, a) and C(m - 1, a + 1) (Vandermonde, hockey stick).
+    B(t) sums b(u) for u <= t, and sum_{u <= t < x} C(x - 1 - t, i) is
+    C(v, i) + C(v, i + 1) at v = x - 1 - u: its weight enters twice.
     """
-    digits = []
-    while q:
-        q, d = divmod(q, m)
-        digits.append(d)
-    depth = len(digits)
     scaled = _stretched_rows(m, depth)
-    # fill[j]: the residue block sum_{0<r<m} C(m t + r, j), basis C(t, i)
-    fill = [[a - b for a, b in zip(scaled[j + 1][1:], scaled[j])] for j in range(depth)]
-    # weight[j][i]: coefficient of P[i] in the full blocks t < x
-    weight = [[a - 2 * b for a, b in zip(scaled[j] + [0], [0] + fill[j])] for j in range(depth)]
-    x, T = 0, 1
-    P = [0] * (depth + 1)
-    for d in reversed(digits):
-        depth -= 1
-        sp_x = T - P[0]
-        choose_x = [comb(x, i + 1) for i in range(depth + 1)]
-        base = m * x
-        nxt = []
-        for j in range(depth + 1):
-            value = sum(map(mul, weight[j], P)) + (2 * P[0] - 1) * sum(map(mul, fill[j], choose_x))
-            if d:
-                # the partial block t = x: residue 0, then residues 1 .. d - 1
-                value += comb(base, j) * sp_x + (2 * T - 1) * (comb(base + d, j + 1) - comb(base + 1, j + 1))
-            nxt.append(value)
-        T = nxt[0] + (2 * T - 1 if d else sp_x)
-        P = nxt
-        x = base + d
-    return T
+    rows = [[0] * (j + 2) for j in range(depth + 1)]
+    for j, row in enumerate(rows):
+        for a in range(min(m - 1, j) + 1):
+            top, block = comb(m - 1, a), 2 * comb(m - 1, a + 1)
+            for i, s in enumerate(scaled[j - a]):
+                row[i] += (top + block) * s
+                row[i + 1] += block * s
+    return rows
+
+
+def _level(table: List[List[int]], Q: List[int], b: int, d: int) -> Tuple[List[int], int]:
+    """Q and b = b(x) at a prefix x, taken to m x + d; Q loses its last entry.
+
+    A digit d > 0 appends b(m x) = b(x) and d - 1 terms 2 B(x), whose
+    weights C(d - 1 - c, j) sum to C(d - 1, j + 1), and moves the older
+    terms d places: C(k + d, j) = sum_i C(d, i) C(k, j - i).
+    """
+    plateau = 2 * (Q[0] + b)
+    Q = [sum(map(mul, row, Q)) for row in table[: len(Q) - 1]]
+    if not d:
+        return Q, b
+    shift = [comb(d, i) for i in range(min(d, len(Q)) + 1)]
+    tail = [comb(d - 1, j) for j in range(len(Q) + 1)]
+    return [sum(map(mul, shift, Q[j::-1])) + b * tail[j] + plateau * tail[j + 1] for j in range(len(Q))], plateau
 
 
 def sp(n: int, m: int) -> int:
     """Number of semi-m-Pell compositions of n, exact for any size of n.
 
-    Strips factors of m (sp(m q) = sp(q)), then applies the plateau
-    identity; the cost grows with the number of base-m digits of n, not
-    with n.
+    Strips factors of m (sp(m q) = sp(q)), then reads sp(m q + r) = B(q)
+    off the moments of b, one _level per base-m digit of q, from the top.
     """
     check_nonneg(n, "weight")
     check_modulus(m)
     while n and n % m == 0:
         n //= m
-    if n < m:
-        return 1
-    return 2 * _prefix_count(n // m, m) - 1
+    q, digits = n // m, []
+    while q:
+        q, d = divmod(q, m)
+        digits.append(d)
+    table = _level_table(m, len(digits) - 1)
+    b, Q = 1, [0] * (len(digits) + 1)
+    for d in reversed(digits):
+        Q, b = _level(table, Q, b, d)
+    return Q[0] + b
 
 
 def sp_table(n_max: int, moduli: Sequence[int]) -> List[List[int]]:
@@ -187,18 +184,20 @@ def check_scaling_identity(m: int, j_max: int, v_max: Optional[int] = None) -> C
     admissible ones, so both statements read the same row.  The unscaled
     counts come from the dense recurrence.  v_max defaults to m, the
     least bound that reaches the whole plateau.  The largest scaled
-    weight, m^j_max * (m * v_max + m - 1), must stay within COUNT_LIMIT.
+    weight, m^j_max * (m * v_max + m - 1), must stay within COUNT_LIMIT,
+    and the (j_max + 1)(v_max + 1)(m - 1) point counts within SCALING_LIMIT.
     """
     check_modulus(m)
     if v_max is None:
         v_max = m
     check_nonneg(v_max, "v_max")
     top = m * v_max + m - 1
-    check_bound(top, RANGE_LIMIT, "scaling top weight")
     j_limit, scaled = 0, top * m
     while scaled <= COUNT_LIMIT:
         j_limit, scaled = j_limit + 1, scaled * m
     check_bound(j_max, j_limit, "scaling j_max")
+    # (v_max + 1)(m - 1) >= (top + 1) / 2, so top stays far below RANGE_LIMIT
+    check_bound((j_max + 1) * (v_max + 1) * (m - 1), SCALING_LIMIT, "scaling point counts")
     report = CongruenceReport("scaling", {"m": m, "j_max": j_max, "v_max": v_max})
     counts = _sp_range(top, m)
     weights = [h for h in range(1, top + 1) if h % m]

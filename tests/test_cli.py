@@ -23,7 +23,7 @@ from semipell.cli import (
 )
 from semipell.congruence import OB_PARITY_LIMIT
 from semipell.enumeration import ENUMERATION_LIMIT
-from semipell.recurrence import COUNT_LIMIT, RANGE_LIMIT, _sp_range
+from semipell.recurrence import COUNT_LIMIT, RANGE_LIMIT, SCALING_LIMIT, _sp_range
 from semipell.series import ORDER_LIMIT
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -507,6 +507,14 @@ def test_scaling_limit(capsys):
     assert code == 3 and out == "" and "bound" in err
     code, out, _ = run(capsys, "check", "scaling", "--m", "10", "--jmax", "49", "--vmax", "0")
     assert code == 0 and out == "PASS scaling checked=900\n"
+    # (jmax + 1)(vmax + 1)(m - 1) point counts: 73.5 million in the first,
+    # whose scaled weights are within COUNT_LIMIT and top weight within RANGE_LIMIT
+    assert SCALING_LIMIT == 10**4
+    for argv in (("--m", "2", "--vmax", "499999", "--jmax", "146"), ("--m", "10002", "--vmax", "0", "--jmax", "0")):
+        code, out, err = run(capsys, "check", "scaling", *argv)
+        assert code == 3 and out == "" and "scaling point counts refuses" in err, argv
+    code, out, _ = run(capsys, "check", "scaling", "--m", "10001", "--vmax", "0", "--jmax", "0")
+    assert code == 0 and out == "PASS scaling checked=20000\n"
 
 
 def test_check_failure_exits_1(capsys, monkeypatch):

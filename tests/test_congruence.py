@@ -24,6 +24,7 @@ from semipell.core import SearchBoundExceeded
 from semipell.enumeration import ENUMERATION_LIMIT, oracle_agreement
 from semipell.recurrence import (
     RANGE_LIMIT,
+    SCALING_LIMIT,
     check_plateau_identity,
     check_scaling_identity,
     sp,
@@ -313,7 +314,9 @@ def test_sweeps_refuse_their_bound_before_any_work(monkeypatch):
         (check_partial_sum_mod3, (4, (top - 1) // 4 + 1), (4, (top - 1) // 4)),
         (check_special_cases, ((top - 11) // 100 + 1,), ((top - 11) // 100,)),
         (check_plateau_identity, ((top - 1) // 2 + 1, 2), ((top - 1) // 2, 2)),
-        (check_scaling_identity, (2, 0, (top - 1) // 2 + 1), (2, 0, (top - 1) // 2)),
+        # (j_max + 1)(v_max + 1)(m - 1) point counts, which also bound the top weight
+        (check_scaling_identity, (2, 0, SCALING_LIMIT), (2, 0, SCALING_LIMIT - 1)),
+        (check_scaling_identity, (5, 4, SCALING_LIMIT // 20), (5, 4, SCALING_LIMIT // 20 - 1)),
         # m = 10, v_max = 0: the largest scaled weight is 10^j_max * 9
         (check_scaling_identity, (10, 50, 0), (10, 49, 0)),
         (check_scaling_identity, (2, 10**12, 2), (2, 0, 2)),

@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+from itertools import accumulate
 from math import comb
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -202,3 +204,101 @@ def test_point_count_far_beyond_a_dense_range():
     value = sp(10**18 + 1, 2)
     assert value % 2 == 1
     assert len(str(value)) == 455
+
+
+def _prefix_count(q, m):
+    """sp(0, m) + sp(1, m) + ... + sp(q, m), one level per base-m digit of q.
+
+    The slow path sp replaced: each level replaces the prefix x by
+    x' = m x + d and carries
+
+        P[i] = sum_{t < x} C(t, i) sp(t)    and    T = sum_{t <= x} sp(t).
+
+    Splitting k < x' as k = m t + r: the terms r = 0 give sp(t), and
+    the terms 0 < r < m give 2 T(t) - 1 by the plateau identity.  Their
+    binomial weights C(m t + r, j) summed over 0 < r < m are
+    C(m t + m, j + 1) - C(m t + 1, j + 1) (hockey stick), a polynomial of
+    degree j in t, so no level loops over residues.  Both terms come from
+    the one table of C(m t, j) in the basis C(t, i): the first is row
+    j + 1 shifted by one in t, the second is rows j + 1 and j added
+    (Pascal), so fill[j][i] = scaled[j + 1][i + 1] - scaled[j][i].
+    Rewritten in the basis C(t, i), the sum over t < x of C(t, i) T(t) is
+    C(x, i + 1) P[0] - P[i + 1], and P[j] at x' needs P up to j + 1 at x:
+    the degree the top level needs, 0, rises by one per level below it.
+    Unlike sp, every level reads binomials of the prefix x itself.
+    """
+    digits = []
+    while q:
+        q, d = divmod(q, m)
+        digits.append(d)
+    depth = len(digits)
+    scaled = recurrence._stretched_rows(m, depth)
+    # fill[j]: the residue block sum_{0<r<m} C(m t + r, j), basis C(t, i)
+    fill = [[a - b for a, b in zip(scaled[j + 1][1:], scaled[j])] for j in range(depth)]
+    # weight[j][i]: coefficient of P[i] in the full blocks t < x
+    weight = [[a - 2 * b for a, b in zip(scaled[j] + [0], [0] + fill[j])] for j in range(depth)]
+    x, T = 0, 1
+    P = [0] * (depth + 1)
+    for d in reversed(digits):
+        depth -= 1
+        sp_x = T - P[0]
+        choose_x = [comb(x, i + 1) for i in range(depth + 1)]
+        base = m * x
+        nxt = []
+        for j in range(depth + 1):
+            value = sum(map(mul, weight[j], P)) + (2 * P[0] - 1) * sum(map(mul, fill[j], choose_x))
+            if d:
+                # the partial block t = x: residue 0, then residues 1 .. d - 1
+                value += comb(base, j) * sp_x + (2 * T - 1) * (comb(base + d, j + 1) - comb(base + 1, j + 1))
+            nxt.append(value)
+        T = nxt[0] + (2 * T - 1 if d else sp_x)
+        P = nxt
+        x = base + d
+    return T
+
+
+def _prefix_sp(n, m):
+    """sp(n, m) through _prefix_count and the plateau identity."""
+    while n and n % m == 0:
+        n //= m
+    return 1 if n < m else 2 * _prefix_count(n // m, m) - 1
+
+
+@given(
+    st.sampled_from([12, 40, 50]).flatmap(lambda e: st.integers(10**e - 10 ** (e - 1), 10**e + 10 ** (e - 1))),
+    st.integers(2, 10),
+)
+@settings(max_examples=30, deadline=None)
+def test_level_count_matches_prefix_reference(n, m):
+    assert sp(n, m) == _prefix_sp(n, m)
+
+
+@given(st.integers(10**40 - 10**39, 10**40 + 10**39), st.integers(2, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_level_count_matches_prefix_reference_for_large_moduli(n, m):
+    assert sp(n, m) == _prefix_sp(n, m)
+
+
+def _moments(values, x, depth):
+    """Q[j] = sum_{t < x} C(x - 1 - t, j) values[t] for j <= depth, summed term by term."""
+    return [sum(comb(x - 1 - t, j) * values[t] for t in range(x)) for j in range(depth + 1)]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_level_step_takes_the_moments_of_any_sequence(data):
+    # b(0..x) are arbitrary integers, not counts, and the moments at the
+    # longer prefix are summed directly, so nothing here goes through sp
+    m = data.draw(st.sampled_from([*range(2, 11), 97]))
+    b = data.draw(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=25))
+    d = data.draw(st.integers(0, m - 1))
+    depth = data.draw(st.integers(0, 8))
+    x = len(b) - 1
+    total = list(accumulate(b))
+    # b(m u) = b(u) and b(m u + c) = 2 B(u) for 0 < c < m, up to m x + d
+    longer = [b[s // m] if s % m == 0 else 2 * total[s // m] for s in range(m * x + d + 1)]
+    table = recurrence._level_table(m, depth)
+    assert [len(row) for row in table] == list(range(2, depth + 3))
+    Q, b_next = recurrence._level(table, _moments(b, x, depth + 1), b[x], d)
+    assert Q == _moments(longer, m * x + d, depth)
+    assert b_next == longer[m * x + d]
