@@ -21,9 +21,10 @@ so a point count is a prefix sum of counts at a weight m times smaller.
 With b(0) = 1, b(t) = 2 sp(t, m) for t >= 1 and B(x) = b(0) + ... + b(x),
 sp(mq + r, m) = B(q), b(mt) = b(t) and b(mt + c) = 2 B(t) for 0 < c < m.
 sp finds B(q) in one pass over the base-m digits of q, carrying b(x) and
-the moments Q[i] = sum_{t < x} C(x - 1 - t, i) b(t) of the prefix x: one
-table steps every level without reading x, and no memo is kept; this is
-the prefix-sum structure of Mahler's partition problem (de Bruijn 1948,
+the moments Q[i] = sum_{t < x} C(x - 1 - t, i) b(t) of the prefix x.  One
+table, built from the rows E_j of C(m v + m - 1, j) in the basis C(v, i),
+steps every level without reading x, and no memo is kept.  This is the
+prefix-sum structure of Mahler's partition problem (de Bruijn 1948,
 Knuth 1966).  Dense ranges sp(0..n_max) come from the recurrence itself,
 bottom up; the sweeps read their values from those ranges, so the
 plateau sweep checks the identity sp is built on against an independent
@@ -61,41 +62,27 @@ def _sp_range(n_max: int, m: int) -> List[int]:
     return counts
 
 
-def _stretched_rows(m: int, depth: int) -> List[List[int]]:
-    """Row j <= depth lists the integers a_i with C(m t, j) = sum_i a_i C(t, i).
-
-    Entry 0 is the value at t = 0.  Entry i + 1 is entry i of the
-    forward difference C(m t + m, j) - C(m t, j), which by Vandermonde's
-    identity is sum_{a >= 1} C(m, a) C(m t, j - a).
-    """
-    choose_m = [comb(m, a) for a in range(min(m, depth) + 1)]
-    rows: List[List[int]] = []
-    for j in range(depth + 1):
-        row = [int(j == 0)]
-        for i in range(j):
-            row.append(sum(choose_m[a] * rows[j - a][i] for a in range(1, min(m, j - i) + 1)))
-        rows.append(row)
-    return rows
-
-
 def _level_table(m: int, depth: int) -> List[List[int]]:
     """Row j <= depth takes the moments Q at a prefix x to Q[j] at m x.
 
-    Term t < x, v = x - 1 - t from the end, gives b(t) at m v + m - 1 and
-    2 B(t) at m v + c, c < m - 1: rows C(m v, j - a) of _stretched_rows
-    times C(m - 1, a) and C(m - 1, a + 1) (Vandermonde, hockey stick).
-    B(t) sums b(u) for u <= t, and sum_{u <= t < x} C(x - 1 - t, i) is
-    C(v, i) + C(v, i + 1) at v = x - 1 - u: its weight enters twice.
+    E_j lists C(m v + m - 1, j) in the basis C(v, i): entry 0 is
+    C(m - 1, j), and entry i + 1 is entry i of the forward difference,
+    sum_{a >= 1} C(m, a) E_{j-a} by Vandermonde's identity.  Term t < x,
+    v = x - 1 - t from the end, gives b(t) at m v + m - 1 and 2 B(t) at
+    m v + c, c < m - 1.  So b(u), w = x - 1 - u, weighs E_j(w) plus twice
+    the sum of C(k, j) over k <= m w + m - 2 other than the k = m v + m - 1,
+    v < w: C(m w + m - 1, j + 1) - sum_{v < w} E_j(v) (hockey stick), and
+    sum_{v < w} C(v, i) = C(w, i + 1).  Row j is E_j + 2 E_{j+1} - 2 E_j
+    shifted up one place.
     """
-    scaled = _stretched_rows(m, depth)
-    rows = [[0] * (j + 2) for j in range(depth + 1)]
-    for j, row in enumerate(rows):
-        for a in range(min(m - 1, j) + 1):
-            top, block = comb(m - 1, a), 2 * comb(m - 1, a + 1)
-            for i, s in enumerate(scaled[j - a]):
-                row[i] += (top + block) * s
-                row[i + 1] += block * s
-    return rows
+    choose_m = [comb(m, a) for a in range(min(m, depth + 1) + 1)]
+    E: List[List[int]] = []
+    for j in range(depth + 2):
+        row = [comb(m - 1, j)]
+        for i in range(j):
+            row.append(sum(choose_m[a] * E[j - a][i] for a in range(1, min(m, j - i) + 1)))
+        E.append(row)
+    return [[e + 2 * (f - g) for e, f, g in zip(E[j] + [0], E[j + 1], [0] + E[j])] for j in range(depth + 1)]
 
 
 def _level(table: List[List[int]], Q: List[int], b: int, d: int) -> Tuple[List[int], int]:

@@ -178,11 +178,28 @@ def test_fast_count_matches_dense_recurrence():
         assert [sp(n, m) for n in range(5001)] == counts, m
 
 
+def _stretched_rows(m, depth):
+    """Row j <= depth lists the integers a_i with C(m t, j) = sum_i a_i C(t, i).
+
+    Entry 0 is the value at t = 0.  Entry i + 1 is entry i of the
+    forward difference C(m t + m, j) - C(m t, j), which by Vandermonde's
+    identity is sum_{a >= 1} C(m, a) C(m t, j - a).
+    """
+    choose_m = [comb(m, a) for a in range(min(m, depth) + 1)]
+    rows = []
+    for j in range(depth + 1):
+        row = [int(j == 0)]
+        for i in range(j):
+            row.append(sum(choose_m[a] * rows[j - a][i] for a in range(1, min(m, j - i) + 1)))
+        rows.append(row)
+    return rows
+
+
 def test_stretched_rows_expand_scaled_binomials():
-    # the one table behind every point count, checked far deeper than
+    # the table behind both slow paths below, checked far deeper than
     # the dense comparison above reaches (at most 12 base-m digits)
     for m in range(2, 11):
-        rows = recurrence._stretched_rows(m, 40)
+        rows = _stretched_rows(m, 40)
         assert len(rows) == 41
         for j, row in enumerate(rows):
             assert len(row) == j + 1
@@ -232,7 +249,7 @@ def _prefix_count(q, m):
         q, d = divmod(q, m)
         digits.append(d)
     depth = len(digits)
-    scaled = recurrence._stretched_rows(m, depth)
+    scaled = _stretched_rows(m, depth)
     # fill[j]: the residue block sum_{0<r<m} C(m t + r, j), basis C(t, i)
     fill = [[a - b for a, b in zip(scaled[j + 1][1:], scaled[j])] for j in range(depth)]
     # weight[j][i]: coefficient of P[i] in the full blocks t < x
@@ -273,9 +290,10 @@ def test_level_count_matches_prefix_reference(n, m):
     assert sp(n, m) == _prefix_sp(n, m)
 
 
-@given(st.integers(10**40 - 10**39, 10**40 + 10**39), st.integers(2, 10**6))
+@given(st.integers(10**40 - 10**39, 10**40 + 10**39), st.integers(2, 10**6) | st.integers(10**6, 10**25))
 @settings(max_examples=30, deadline=None)
 def test_level_count_matches_prefix_reference_for_large_moduli(n, m):
+    # moduli above 10^6 give digits above 10^6 to _level's shift rows
     assert sp(n, m) == _prefix_sp(n, m)
 
 
@@ -302,3 +320,27 @@ def test_level_step_takes_the_moments_of_any_sequence(data):
     Q, b_next = recurrence._level(table, _moments(b, x, depth + 1), b[x], d)
     assert Q == _moments(longer, m * x + d, depth)
     assert b_next == longer[m * x + d]
+
+
+def _two_stage_level_table(m, depth):
+    """The level table in two stages: rows C(m v, j - a) of _stretched_rows
+    times C(m - 1, a) and C(m - 1, a + 1) (Vandermonde, hockey stick)."""
+    scaled = _stretched_rows(m, depth)
+    rows = [[0] * (j + 2) for j in range(depth + 1)]
+    for j, row in enumerate(rows):
+        for a in range(min(m - 1, j) + 1):
+            top, block = comb(m - 1, a), 2 * comb(m - 1, a + 1)
+            for i, s in enumerate(scaled[j - a]):
+                row[i] += (top + block) * s
+                row[i + 1] += block * s
+    return rows
+
+
+def test_level_table_matches_two_stage_construction():
+    # every depth up to 12, and the depth sp reaches at COUNT_LIMIT
+    for m in [*range(2, 11), 97, 10**6, 10**25]:
+        q, full = recurrence.COUNT_LIMIT // m, -1
+        while q:
+            q, full = q // m, full + 1
+        for depth in [*range(-1, 13), full]:
+            assert recurrence._level_table(m, depth) == _two_stage_level_table(m, depth), (m, depth)
