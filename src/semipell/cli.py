@@ -19,8 +19,8 @@ recurrence.COUNT_LIMIT.
 Each command, and each check family under it, is declared once in
 _COMMANDS, with its handler, help text and arguments, and argparse
 refuses, as malformed usage, a flag the family does not read.  A family
-names its function by its public name; the package's _MODULE_OF, the one
-record of where each public name lives, gives the module to load.
+names its function by its public name, and check reads that name from
+the package, which loads the module that defines it.
 Start-up is most of a short command's time, so a command builds only its
 own arguments, and imports the library modules it runs when it runs
 (count, for instance, loads recurrence and nothing else).  At import this
@@ -36,10 +36,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from . import _MODULE_OF
 from .core import SearchBoundExceeded, check_bound, from_oc, to_oc
 
 
@@ -168,7 +166,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     function, flags = _COMMANDS["check"][2][args.family]
-    check = getattr(import_module(f".{_MODULE_OF[function]}", __package__), function)
+    check = getattr(sys.modules[__package__], function)
     report = check(*(getattr(args, flag[2:]) for flag, _, _ in flags))
     for line in report.lines():
         print(line)
@@ -181,8 +179,8 @@ _SIDES = {"choices": ("sp", "oc", "both"), "help": "which oracle comparison to r
 # command -> (handler, help, arguments), each argument (name, default, argparse
 # keywords); check has families in place of arguments, family ->
 # (function, flags).  The flags' values are the function's arguments, in order;
-# the function is named by its public name, not bound, so the module that the
-# package's _MODULE_OF gives for it loads when it runs.
+# the function is named by its public name, not bound, so its module loads
+# only when check reads the name from the package.
 _COMMANDS: dict = {
     "count": (cmd_count, "print sp(n, m)", (
         ("n", None, _COUNT), ("m", None, _MODULUS),

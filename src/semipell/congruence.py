@@ -27,14 +27,14 @@ past OB_PARITY_LIMIT, before it builds that range or counts anything.
     when n = 3 (mod 4).  The counter is an independent count over the
     size pairs.
   * special cases: seven labelled rows of the mod 4 and mod 3
-    families at fixed moduli, replayed together from one dense range
-    per modulus (3, 4, 7 and 10).
+    families at fixed moduli (3, 4, 7 and 10), each entry of
+    SPECIAL_CASES replayed from its own dense range.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import CongruenceReport, check_bound, check_modulus, check_nonneg
 from .recurrence import RANGE_LIMIT, _sp_range
@@ -172,21 +172,12 @@ def check_special_cases(j_max: int) -> CongruenceReport:
     """Replay the seven labelled special-case rows for 0 <= j <= j_max.
 
     Four are rows of the mod 4 family (moduli 3 and 4) and three the
-    r = 1 row of the mod 3 family (moduli 4, 7 and 10).  Each modulus
-    gets one dense range up to the largest top weight of its rows, and
-    each row stops at its own top.
+    r = 1 row of the mod 3 family (moduli 4, 7 and 10).  Each entry of
+    SPECIAL_CASES gets its own dense range, the largest refused first.
     """
-    check_nonneg(j_max, "j_max")
-    tops: Dict[int, int] = {}
-    for family, m, labels in SPECIAL_CASES:
-        tops[m] = max(tops.get(m, 0), _top(family, m, j_max, len(labels)))
-    # refuse the largest range before building any
-    check_bound(max(tops.values()), RANGE_LIMIT, "special-cases top weight")
+    tops = [_top(family, m, j_max, len(labels)) for family, m, labels in SPECIAL_CASES]
+    check_bound(max(tops), RANGE_LIMIT, "special-cases top weight")
     report = CongruenceReport("special-cases", {"j_max": j_max})
-    for m, top in tops.items():
-        counts = _counts(report, m, top)
-        for family, modulus, labels in SPECIAL_CASES:
-            if modulus == m:
-                _sweep(report, counts, family, m, j_max, (f"({label}) " for label in labels))
-        del counts  # so that the next modulus's range is built with this one gone
+    for (family, m, labels), top in zip(SPECIAL_CASES, tops):
+        _sweep(report, _sp_range(top, m), family, m, j_max, (f"({label}) " for label in labels))
     return report

@@ -52,8 +52,9 @@ members are visited, and every complete composition still goes through
 the membership test.  oracle_oc searches all ways to pick distinct
 powers of m with multiplicities not divisible by m summing to n, then
 arranges each non-peak power on the left or right of the peak; it
-prunes by divisibility alone, never by the shape of a form.  Both
-refuse weights above a hard bound rather than grind.
+prunes by divisibility alone, never by the shape of a form.  The oracles
+share only a sort key: oracle_oc orders its forms by _runform_order, the
+generator's.  Both refuse weights above a hard bound rather than grind.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from .core import (
     check_bound,
     check_modulus,
     is_semi_m_pell,
-    runform_parts,
 )
 
 # Hard input bounds.  The pruned composition search visits only member
@@ -285,7 +285,7 @@ def oracle_oc(n: int, m: int) -> List[RunForm]:
     rec(0, n)
     if len(set(found)) != len(found):
         raise RuntimeError(f"duplicate run form in search at n={n}, m={m}")
-    return sorted(found, key=runform_parts)
+    return sorted(found, key=_runform_order)
 
 
 def oracle_agreement(m: int, n_max: int, side: str = "both") -> CongruenceReport:

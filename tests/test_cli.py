@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import semipell
-from semipell import bijection, congruence, sp
+from semipell import bijection, sp
 from semipell.cli import (
     _COMMANDS,
     build_parser,
@@ -276,6 +276,14 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "map", "1,2", "1")[0] == 2
     assert run(capsys, "map", "1^2", "1", "--direction", "from-oc")[0] == 2
     assert run(capsys)[0] == 2
+    # a run needs a base and a multiplicity of at least 1, a count an integer
+    for argv, refusal in (
+        (("map", "0^1,2", "2", "--direction", "from-oc"), "error: bad run '0^1'\n"),
+        (("map", "1^0", "2", "--direction", "from-oc"), "error: bad run '1^0'\n"),
+        (("count", "x", "2"), "error: argument n: not an integer: 'x'\n"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.endswith(refusal), argv
 
 
 def test_check_refuses_flags_the_family_does_not_read(capsys):
@@ -525,7 +533,8 @@ def test_check_failure_exits_1(capsys, monkeypatch):
         report.record_all([0], [1], lambda i: "n=0")
         return report
 
-    monkeypatch.setattr(congruence, "check_oddness", broken)
+    # check reads the family's function from the package
+    monkeypatch.setattr(semipell, "check_oddness", broken)
     code, out, _ = run(capsys, "check", "oddness")
     assert code == 1
     assert out.startswith("FAIL oddness")

@@ -170,14 +170,16 @@ def test_ob_parity_sweep():
 
 
 def test_special_cases_sweep():
-    report = check_special_cases(60)
-    assert report.passed
-    assert report.checked == 7 * 61
-    labels = {label.split()[0] for label, _, _ in report.violations}
-    assert labels == set()
+    # the largest j is the sweep's bound, run for real rather than patched
+    for j in (60, (RANGE_LIMIT - 11) // 100):
+        report = check_special_cases(j)
+        assert report.passed
+        assert report.checked == 7 * (j + 1)
+        labels = {label.split()[0] for label, _, _ in report.violations}
+        assert labels == set()
 
 
-def test_special_cases_build_one_range_per_modulus(monkeypatch):
+def test_special_cases_build_one_range_per_row(monkeypatch):
     built = []
 
     def recorded(n_max, m):
@@ -189,7 +191,7 @@ def test_special_cases_build_one_range_per_modulus(monkeypatch):
     for j in (0, 1, 7, 60):
         built.clear()
         assert check_special_cases(j).checked == 7 * (j + 1)
-        assert built == [(3, 6 * j + 4), (4, 16 * j + 5), (7, 49 * j + 8), (10, 100 * j + 11)]
+        assert built == [(3, 6 * j + 4), (4, 8 * j + 5), (4, 16 * j + 5), (7, 49 * j + 8), (10, 100 * j + 11)]
 
 
 def _traced_peak(call, *args):
