@@ -35,11 +35,6 @@ _EXPORTS = {
         "SearchBoundExceeded",
         "from_oc",
         "is_semi_m_pell",
-        "runform_failure",
-        "runform_parts",
-        "tau1",
-        "tau2",
-        "tau3",
         "to_oc",
     ),
     "enumeration": ("enumerate_oc", "enumerate_sp", "oracle_agreement", "oracle_oc", "oracle_sp"),

@@ -19,10 +19,6 @@ divisible by m.  from_oc reads each run back as the single part
 base * mult, inverting the map run by run.  For m = 3 the composition
 (14, 3, 18, 27) maps to the run form 1^14, 3, 9^2, 27.
 
-Three reversible operators shrink a semi-m-Pell composition while
-preserving membership: tau1 deletes a boundary part smaller than m,
-tau2 subtracts m from a chosen part that exceeds m and is not divisible
-by m, and tau3 divides every part by m when all parts are multiples.
 Everything here is exact integer arithmetic, no floats anywhere.
 
 Every module also takes from here the input checks and errors its
@@ -33,7 +29,6 @@ decide whether a violation is fatal.
 
 from __future__ import annotations
 
-from itertools import chain, repeat, starmap
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 # A composition is a tuple of positive parts; a run form is a tuple of
@@ -170,52 +165,6 @@ def to_oc(composition: Sequence[int], m: int) -> RunForm:
     if reason is not None:
         raise ValueError(f"not a semi-m-Pell composition: {reason}")
     return tuple(splits)
-
-
-def tau1(composition: Sequence[int], m: int) -> Composition:
-    """Delete a boundary part smaller than m (first one wins a tie).
-
-    Defined only when the first or last part is smaller than m; raises
-    ValueError otherwise, and on the empty composition.
-    """
-    check_modulus(m)
-    parts = tuple(composition)
-    if parts and parts[0] < m:
-        return parts[1:]
-    if parts and parts[-1] < m:
-        return parts[:-1]
-    raise ValueError("no boundary part smaller than the modulus")
-
-
-def tau2(composition: Sequence[int], t: int, m: int) -> Composition:
-    """Subtract m from the part at 1-based position t.
-
-    The chosen part must exceed m and must not be divisible by m, so the
-    result keeps positive parts and the part's residue class mod m.
-    """
-    check_modulus(m)
-    parts = tuple(composition)
-    if not 1 <= t <= len(parts):
-        raise ValueError(f"position {t} out of range for {len(parts)} parts")
-    c = parts[t - 1]
-    if c <= m or c % m == 0:
-        raise ValueError(f"part {c} at position {t} must exceed {m} and not be divisible by {m}")
-    return parts[: t - 1] + (c - m,) + parts[t:]
-
-
-def tau3(composition: Sequence[int], m: int) -> Composition:
-    """Divide every part by m; all parts must be divisible by m."""
-    check_modulus(m)
-    parts = tuple(composition)
-    for c in parts:
-        if c % m != 0:
-            raise ValueError(f"part {c} is not divisible by {m}")
-    return tuple(c // m for c in parts)
-
-
-def runform_parts(runs: RunForm) -> Composition:
-    """Flatten a run form into its underlying part sequence."""
-    return tuple(chain.from_iterable(starmap(repeat, runs)))
 
 
 def runform_failure(runs: Iterable[Tuple[int, int]], m: int) -> Optional[str]:

@@ -23,12 +23,13 @@ sp(mq + r, m) = B(q), b(mt) = b(t) and b(mt + c) = 2 B(t) for 0 < c < m.
 sp finds B(q) in one pass over the base-m digits of q, carrying b(x) and
 the moments Q[i] = sum_{t < x} C(x - 1 - t, i) b(t) of the prefix x.  One
 table, built from the rows E_j of C(m v + m - 1, j) in the basis C(v, i),
-steps every level without reading x, and no memo is kept.  This is the
-prefix-sum structure of Mahler's partition problem (de Bruijn 1948,
-Knuth 1966).  Dense ranges sp(0..n_max) come from the recurrence itself,
-bottom up; the sweeps read their values from those ranges, so the
-plateau sweep checks the identity sp is built on against an independent
-evaluation.
+steps every level without reading x.  sp builds the table for its own
+digits, the scaling sweep one for its deepest count, and no memo is kept.
+This is the prefix-sum structure of Mahler's partition problem (de Bruijn
+1948, Knuth 1966).  Dense ranges sp(0..n_max) come from the recurrence
+itself, bottom up; the sweeps read their values from those ranges, so
+the plateau sweep checks the identity sp is built on against an
+independent evaluation.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ from .core import CongruenceReport, check_bound, check_modulus, check_nonneg
 
 # Hard input bounds.  A point count costs a polynomial in the number of
 # base-m digits of n, under a second at COUNT_LIMIT, the largest weight
-# the count command and the scaling sweep hand to sp.  Every sweep reads
+# the count command and the scaling sweep count.  Every sweep reads
 # its counts from one dense list up to its top weight, sp_table from one
 # list per modulus; RANGE_LIMIT bounds that weight, and sp_table's
 # total, at a quarter second and tens of MB.  Each sweep refuses its own
 # top weight before it allocates anything.  SCALING_LIMIT caps the
-# scaling sweep's point counts, and so its top weight, at 1.6 s (m = 2).
+# scaling sweep's point counts, and so its top weight, at 0.9 s (m = 2).
 COUNT_LIMIT = 10**50
 RANGE_LIMIT = 10**6
 SCALING_LIMIT = 10**4
@@ -101,25 +102,37 @@ def _level(table: List[List[int]], Q: List[int], b: int, d: int) -> Tuple[List[i
     return [sum(map(mul, shift, Q[j::-1])) + b * tail[j] + plateau * tail[j + 1] for j in range(len(Q))], plateau
 
 
-def sp(n: int, m: int) -> int:
-    """Number of semi-m-Pell compositions of n, exact for any size of n.
+def _fold(table: List[List[int]], n: int, m: int) -> int:
+    """sp(n, m), folded on a level table deep enough for n.
 
     Strips factors of m (sp(m q) = sp(q)), then reads sp(m q + r) = B(q)
     off the moments of b, one _level per base-m digit of q, from the top.
+    A table with fewer rows than q has digits raises RuntimeError.
     """
-    check_nonneg(n, "weight")
-    check_modulus(m)
     while n and n % m == 0:
         n //= m
     q, digits = n // m, []
     while q:
         q, d = divmod(q, m)
         digits.append(d)
-    table = _level_table(m, len(digits) - 1)
+    if len(digits) > len(table):
+        raise RuntimeError(f"level table of {len(table)} rows is too shallow for {len(digits)} digits")
     b, Q = 1, [0] * (len(digits) + 1)
     for d in reversed(digits):
         Q, b = _level(table, Q, b, d)
     return Q[0] + b
+
+
+def sp(n: int, m: int) -> int:
+    """Number of semi-m-Pell compositions of n, exact for any size of n."""
+    check_nonneg(n, "weight")
+    check_modulus(m)
+    while n and n % m == 0:
+        n //= m
+    depth, q = -1, n // m
+    while q:
+        depth, q = depth + 1, q // m
+    return _fold(_level_table(m, depth), n, m)
 
 
 def sp_table(n_max: int, moduli: Sequence[int]) -> List[List[int]]:
@@ -167,12 +180,13 @@ def check_scaling_identity(m: int, j_max: int, v_max: Optional[int] = None) -> C
     plateau the value is explicit: sp(m^j * (m*v + r), m) = 2v + 1 for
     0 <= v <= min(v_max, m) and 1 <= r < m, which covers the count-one
     weights m^j * h with 1 <= h < m as the v = 0 case.  The scaled
-    weights go through sp once per j; the plateau weights lead the
-    admissible ones, so both statements read the same row.  The unscaled
-    counts come from the dense recurrence.  v_max defaults to m, the
-    least bound that reaches the whole plateau.  The largest scaled
-    weight, m^j_max * (m * v_max + m - 1), must stay within COUNT_LIMIT,
-    and the (j_max + 1)(v_max + 1)(m - 1) point counts within SCALING_LIMIT.
+    weights are counted once per j, all on one level table; the plateau
+    weights lead the admissible ones, so both statements read the same
+    row.  The unscaled counts come from the dense recurrence.  v_max
+    defaults to m, the least bound that reaches the whole plateau.  The
+    largest scaled weight, m^j_max * (m * v_max + m - 1), must stay within
+    COUNT_LIMIT, and the (j_max + 1)(v_max + 1)(m - 1) point counts within
+    SCALING_LIMIT.
     """
     check_modulus(m)
     if v_max is None:
@@ -191,9 +205,12 @@ def check_scaling_identity(m: int, j_max: int, v_max: Optional[int] = None) -> C
     unscaled = [counts[h] for h in weights]
     # weight i < (min(v_max, m) + 1)(m - 1) is m v + r, v = i // (m - 1)
     plateau = [2 * (i // (m - 1)) + 1 for i in range((min(v_max, m) + 1) * (m - 1))]
+    # every scaled weight strips to an h <= top, and h // m <= v_max has
+    # at most as many base-m digits as v_max has bits
+    table = _level_table(m, v_max.bit_length() - 1)
     for j in range(j_max + 1):
         scale = m**j
-        scaled = [sp(scale * h, m) for h in weights]
+        scaled = [_fold(table, scale * h, m) for h in weights]
         report.record_all(scaled, unscaled, lambda i: f"j={j},h={weights[i]}")
         report.record_all(scaled[: len(plateau)], plateau, lambda i: f"j={j},v={i // (m - 1)},r={i % (m - 1) + 1}")
     return report

@@ -276,12 +276,12 @@ class Reached(Exception):
 def test_scaling_sweep_evaluates_each_scaled_weight_once(monkeypatch):
     calls = []
 
-    def counted(n, m):
+    def counted(table, n, m):
         calls.append(n)
-        return count(n, m)
+        return fold(table, n, m)
 
-    count = recurrence.sp
-    monkeypatch.setattr(recurrence, "sp", counted)
+    fold = recurrence._fold
+    monkeypatch.setattr(recurrence, "_fold", counted)
     j_max = 3
     for m in (2, 3, 5):
         for v_max in (0, m - 1, m, 2 * m + 1):
@@ -524,11 +524,11 @@ def test_violations_keep_their_labels_and_order(monkeypatch, sweep, args, weight
     monkeypatch.setattr(series, "functional_equation_residual", _corrupt(series.functional_equation_residual, weights))
     oracle = enumeration.oracle_oc
     monkeypatch.setattr(enumeration, "oracle_oc", lambda n, m: oracle(n, m)[n in weights:])
-    # sp only at multiples of m, the weights scaled by m^j with j >= 1:
-    # an unscaled weight is read from the dense range too, and corrupting
-    # both would hide that range's faults
-    count = recurrence.sp
-    monkeypatch.setattr(recurrence, "sp", lambda n, m: count(n, m) + (n in weights and n % m == 0))
+    # the point counts only at multiples of m, the weights scaled by m^j
+    # with j >= 1: an unscaled weight is read from the dense range too, and
+    # corrupting both would hide that range's faults
+    fold = recurrence._fold
+    monkeypatch.setattr(recurrence, "_fold", lambda table, n, m: fold(table, n, m) + (n in weights and n % m == 0))
     image = bijection.to_oc
 
     def misplaced(c, m):

@@ -1,3 +1,5 @@
+from itertools import chain, repeat, starmap
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,10 +10,6 @@ from semipell.core import (
     from_oc,
     is_semi_m_pell,
     runform_failure,
-    runform_parts,
-    tau1,
-    tau2,
-    tau3,
     to_oc,
 )
 
@@ -89,6 +87,55 @@ def test_membership_scan_splits_only_on_request():
     splits = []
     assert _membership_scan((14, 3, 18, 27), 3, splits) is None
     assert splits == [(1, 14), (3, 1), (9, 2), (27, 1)]
+
+
+# The paper's three reversible shrinking operators, and the flattener
+# of a run form into its parts: the reference the generators are tested
+# against, here and in test_enumeration.  Each operator keeps a
+# semi-m-Pell composition inside the family.
+
+
+def tau1(composition, m):
+    """Delete a boundary part smaller than m (first one wins a tie).
+
+    Defined only when the first or last part is smaller than m; raises
+    ValueError otherwise, and on the empty composition.
+    """
+    parts = tuple(composition)
+    if parts and parts[0] < m:
+        return parts[1:]
+    if parts and parts[-1] < m:
+        return parts[:-1]
+    raise ValueError("no boundary part smaller than the modulus")
+
+
+def tau2(composition, t, m):
+    """Subtract m from the part at 1-based position t.
+
+    The chosen part must exceed m and must not be divisible by m, so the
+    result keeps positive parts and the part's residue class mod m.
+    """
+    parts = tuple(composition)
+    if not 1 <= t <= len(parts):
+        raise ValueError(f"position {t} out of range for {len(parts)} parts")
+    c = parts[t - 1]
+    if c <= m or c % m == 0:
+        raise ValueError(f"part {c} at position {t} must exceed {m} and not be divisible by {m}")
+    return parts[: t - 1] + (c - m,) + parts[t:]
+
+
+def tau3(composition, m):
+    """Divide every part by m; all parts must be divisible by m."""
+    parts = tuple(composition)
+    for c in parts:
+        if c % m != 0:
+            raise ValueError(f"part {c} is not divisible by {m}")
+    return tuple(c // m for c in parts)
+
+
+def runform_parts(runs):
+    """Flatten a run form into its underlying part sequence."""
+    return tuple(chain.from_iterable(starmap(repeat, runs)))
 
 
 def test_tau1():

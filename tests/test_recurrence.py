@@ -344,3 +344,43 @@ def test_level_table_matches_two_stage_construction():
             q, full = q // m, full + 1
         for depth in [*range(-1, 13), full]:
             assert recurrence._level_table(m, depth) == _two_stage_level_table(m, depth), (m, depth)
+
+
+def test_level_table_rows_do_not_depend_on_depth():
+    # a deeper table only appends rows, so one table built for the
+    # deepest count serves every shallower one
+    for m in [*range(2, 11), 97]:
+        q, full = recurrence.COUNT_LIMIT // m, -1
+        while q:
+            q, full = q // m, full + 1
+        deepest = recurrence._level_table(m, full)
+        for depth in range(-1, full + 1):
+            assert recurrence._level_table(m, depth) == deepest[: depth + 1], (m, depth)
+
+
+@pytest.mark.parametrize("m", [2, 3, 10, 97])
+def test_fold_refuses_a_table_too_shallow_for_the_weight(m):
+    # n = m^5 + 1 has q = m^4, five base-m digits: the table needs depth 4
+    n = m**5 + 1
+    for depth in (4, 5, 9):
+        assert recurrence._fold(recurrence._level_table(m, depth), n, m) == sp(n, m), depth
+    for depth in (-1, 0, 3):
+        with pytest.raises(RuntimeError, match="too shallow"):
+            recurrence._fold(recurrence._level_table(m, depth), n, m)
+
+
+@pytest.mark.parametrize(
+    "args, lines",
+    [
+        ((2, 0, 9999), ["PASS scaling checked=10003"]),
+        ((10, 11, 10), ["PASS scaling checked=2376"]),
+        ((3, 4, None), ["PASS scaling checked=80"]),
+    ],
+)
+def test_scaling_sweep_counts_on_one_table(monkeypatch, args, lines):
+    # the reports the sweep gave when every count went through sp
+    built = []
+    level_table = recurrence._level_table
+    monkeypatch.setattr(recurrence, "_level_table", lambda m, depth: built.append(depth) or level_table(m, depth))
+    assert check_scaling_identity(*args).lines() == lines
+    assert len(built) == 1
