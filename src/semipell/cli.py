@@ -165,22 +165,23 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    function, flags = _COMMANDS["check"][2][args.family]
+    function, defaults = _COMMANDS["check"][2][args.family]
     check = getattr(sys.modules[__package__], function)
-    report = check(*(getattr(args, flag[2:]) for flag, _, _ in flags))
+    report = check(**{name: getattr(args, name.replace("_", "")) for name in defaults})
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
 _COUNT, _MODULUS = {"type": _at_least(0)}, {"type": _at_least(2)}
-_SIDES = {"choices": ("sp", "oc", "both"), "help": "which oracle comparison to run"}
+_FLAG_KEYWORDS = {"m": _MODULUS, "side": {"choices": ("sp", "oc", "both"), "help": "which oracle comparison to run"}}
 
 # command -> (handler, help, arguments), each argument (name, default, argparse
 # keywords); check has families in place of arguments, family ->
-# (function, flags).  The flags' values are the function's arguments, in order;
-# the function is named by its public name, not bound, so its module loads
-# only when check reads the name from the package.
+# (function, {parameter: default}).  Each parameter is a flag, named without
+# its underscores (j_max is --jmax) and typed by _FLAG_KEYWORDS or else _COUNT,
+# that check passes by name; the function is named by its public name, not
+# bound, so its module loads only when check reads the name from the package.
 _COMMANDS: dict = {
     "count": (cmd_count, "print sp(n, m)", (
         ("n", None, _COUNT), ("m", None, _MODULUS),
@@ -194,18 +195,18 @@ _COMMANDS: dict = {
         ("m", None, _MODULUS), ("--direction", "to-oc", {"choices": ("to-oc", "from-oc")}))),
     "series": (cmd_series, "coefficients of the counting series", (("m", None, _MODULUS), ("order", None, _COUNT))),
     "check": (cmd_check, "run one verification sweep", {
-        "oddness": ("check_oddness", (("--nmax", 1000, _COUNT), ("--m", 2, _MODULUS))),
-        "mod4": ("check_mod4_base", (("--nmax", 500, _COUNT),)),
-        "mod4-general": ("check_mod4_general", (("--m", 2, _MODULUS), ("--jmax", 200, _COUNT))),
-        "mod3": ("check_mod3", (("--m", 4, _MODULUS), ("--jmax", 100, _COUNT))),
-        "partial-sum": ("check_partial_sum_mod3", (("--m", 4, _MODULUS), ("--jmax", 100, _COUNT))),
-        "ob-parity": ("check_ob_parity", (("--nmax", 1000, _COUNT),)),
-        "plateau": ("check_plateau_identity", (("--vmax", 100, _COUNT), ("--m", 2, _MODULUS))),
-        "scaling": ("check_scaling_identity", (("--m", 2, _MODULUS), ("--jmax", 12, _COUNT), ("--vmax", None, _COUNT))),
-        "special-cases": ("check_special_cases", (("--jmax", 200, _COUNT),)),
-        "roundtrip": ("check_roundtrip", (("--m", 2, _MODULUS), ("--nmax", 20, _COUNT))),
-        "oracle": ("oracle_agreement", (("--m", 2, _MODULUS), ("--nmax", 20, _COUNT), ("--side", "both", _SIDES))),
-        "funceq": ("check_functional_equation", (("--m", 2, _MODULUS), ("--order", 256, _COUNT))),
+        "oddness": ("check_oddness", {"n_max": 1000, "m": 2}),
+        "mod4": ("check_mod4_base", {"n_max": 500}),
+        "mod4-general": ("check_mod4_general", {"m": 2, "j_max": 200}),
+        "mod3": ("check_mod3", {"m": 4, "j_max": 100}),
+        "partial-sum": ("check_partial_sum_mod3", {"m": 4, "j_max": 100}),
+        "ob-parity": ("check_ob_parity", {"n_max": 1000}),
+        "plateau": ("check_plateau_identity", {"v_max": 100, "m": 2}),
+        "scaling": ("check_scaling_identity", {"m": 2, "j_max": 12, "v_max": None}),
+        "special-cases": ("check_special_cases", {"j_max": 200}),
+        "roundtrip": ("check_roundtrip", {"m": 2, "n_max": 20}),
+        "oracle": ("oracle_agreement", {"m": 2, "n_max": 20, "side": "both"}),
+        "funceq": ("check_functional_equation", {"m": 2, "order": 256}),
     }),
 }
 
@@ -232,11 +233,11 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         if name == command == "check":
             families = p.add_subparsers(dest="family", required=True)
             chosen = _named(argv, arguments)
-            for family, (_, flags) in arguments.items():
+            for family, (_, defaults) in arguments.items():
                 f = families.add_parser(family)
                 if family == chosen:
-                    for flag, default, keywords in flags:
-                        f.add_argument(flag, default=default, **keywords)
+                    for name, default in defaults.items():
+                        f.add_argument("--" + name.replace("_", ""), default=default, **_FLAG_KEYWORDS.get(name, _COUNT))
         elif name == command:
             for argument, default, keywords in arguments:
                 p.add_argument(argument, default=default, **keywords)

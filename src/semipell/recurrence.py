@@ -102,12 +102,13 @@ def _level(table: List[List[int]], Q: List[int], b: int, d: int) -> Tuple[List[i
     return [sum(map(mul, shift, Q[j::-1])) + b * tail[j] + plateau * tail[j + 1] for j in range(len(Q))], plateau
 
 
-def _fold(table: List[List[int]], n: int, m: int) -> int:
+def _fold(table: Optional[List[List[int]]], n: int, m: int) -> int:
     """sp(n, m), folded on a level table deep enough for n.
 
     Strips factors of m (sp(m q) = sp(q)), then reads sp(m q + r) = B(q)
     off the moments of b, one _level per base-m digit of q, from the top.
-    A table with fewer rows than q has digits raises RuntimeError.
+    A table of None is built for q's own digits; a table with fewer rows
+    than q has digits raises RuntimeError.
     """
     while n and n % m == 0:
         n //= m
@@ -115,7 +116,9 @@ def _fold(table: List[List[int]], n: int, m: int) -> int:
     while q:
         q, d = divmod(q, m)
         digits.append(d)
-    if len(digits) > len(table):
+    if table is None:
+        table = _level_table(m, len(digits) - 1)
+    elif len(digits) > len(table):
         raise RuntimeError(f"level table of {len(table)} rows is too shallow for {len(digits)} digits")
     b, Q = 1, [0] * (len(digits) + 1)
     for d in reversed(digits):
@@ -127,12 +130,7 @@ def sp(n: int, m: int) -> int:
     """Number of semi-m-Pell compositions of n, exact for any size of n."""
     check_nonneg(n, "weight")
     check_modulus(m)
-    while n and n % m == 0:
-        n //= m
-    depth, q = -1, n // m
-    while q:
-        depth, q = depth + 1, q // m
-    return _fold(_level_table(m, depth), n, m)
+    return _fold(None, n, m)
 
 
 def sp_table(n_max: int, moduli: Sequence[int]) -> List[List[int]]:

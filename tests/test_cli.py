@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import semipell
-from semipell import bijection, sp
+from semipell import CongruenceReport, bijection, sp
 from semipell.cli import (
     _COMMANDS,
     build_parser,
@@ -76,7 +76,7 @@ def test_count_json(capsys):
     assert out == '{"n": 7, "m": 2, "sp": "11"}\n'
 
 
-def test_count_cache_roundtrip(tmp_path, monkeypatch, capsys):
+def test_count_reads_and_writes_no_count_file(tmp_path, monkeypatch, capsys):
     # counts are never stored: a file in the old count-cache format, even
     # one claiming sp(7,2) = 12, cannot change a printed count, and
     # counting writes no file
@@ -332,15 +332,29 @@ def test_check_help_lists_only_the_family_flags(capsys):
 
 
 def test_check_table_follows_each_function_signature():
-    # cmd_check passes a family's flag values positionally, so the flags
-    # must be the function's parameters in order, and a report's params
+    # cmd_check passes a family's flag values by name, so the table must
+    # name the function's parameters, in any order, and a report's params
     # must name every input of its sweep
-    for family, (function, flags) in _COMMANDS["check"][2].items():
+    for family, (function, defaults) in _COMMANDS["check"][2].items():
         check = getattr(semipell, function)
-        parameters = list(inspect.signature(check).parameters)
-        assert [name.replace("_", "") for name in parameters] == [flag[2:] for flag, _, _ in flags], family
-        small = [default if flag in ("--m", "--side") or default is None else min(default, 3) for flag, default, _ in flags]
-        assert set(parameters) <= set(check(*small).params), family
+        assert set(defaults) == set(inspect.signature(check).parameters), family
+        small = {name: default if name in ("m", "side") or default is None else min(default, 3) for name, default in defaults.items()}
+        assert set(defaults) <= set(check(**small).params), family
+
+
+def test_check_passes_each_flag_by_name(monkeypatch, capsys):
+    # a function whose parameters come in another order than the table's
+    # still gets each flag's value under its own name
+    received = {}
+
+    def plateau(m, v_max):
+        received.update(m=m, v_max=v_max)
+        return CongruenceReport("plateau", {"m": m, "v_max": v_max})
+
+    monkeypatch.setattr(semipell, "check_plateau_identity", plateau)
+    code, out, _ = run(capsys, "check", "plateau", "--vmax", "5", "--m", "3")
+    assert code == 0 and out == "PASS plateau checked=0\n"
+    assert received == {"m": 3, "v_max": 5}
 
 
 # SHA-256 of the help text of every command and family, recorded before
@@ -529,8 +543,6 @@ def test_scaling_limit(capsys):
 
 
 def test_check_failure_exits_1(capsys, monkeypatch):
-    from semipell import CongruenceReport
-
     def broken(n_max, m):
         report = CongruenceReport("oddness", {"m": m, "n_max": n_max})
         report.record_all([0], [1], lambda i: "n=0")

@@ -18,7 +18,7 @@ from semipell.core import (
 # with x its max m-power and h the cofactor
 
 
-def test_max_m_power_values():
+def test_single_part_run_values():
     assert to_oc((50,), 2) == ((2, 25),)
     assert to_oc((216,), 5) == ((1, 216),)
     assert to_oc((27,), 3) == ((27, 1),)
@@ -26,7 +26,7 @@ def test_max_m_power_values():
     assert to_oc((12,), 2) == ((4, 3),)
 
 
-def test_max_m_power_rejects_bad_input():
+def test_single_part_run_rejects_bad_input():
     with pytest.raises(ValueError):
         to_oc((0,), 2)
     with pytest.raises(ValueError):
@@ -36,7 +36,7 @@ def test_max_m_power_rejects_bad_input():
 
 
 @given(st.integers(1, 10**9), st.integers(2, 64))
-def test_max_m_power_factorisation(n, m):
+def test_single_part_run_factorisation(n, m):
     ((x, h),) = to_oc((n,), m)
     # x is the m-power part of n: x h = n and the cofactor is coprime to m
     assert x * h == n

@@ -76,7 +76,7 @@ def test_large_arguments_do_not_recurse():
     assert sp(3**100 * 2, 3) == 1
 
 
-def test_warm_cache_matches_cold():
+def test_repeated_counts_match_a_fresh_process():
     # sp keeps no memo: a process that has computed many counts agrees
     # with a fresh interpreter, and the module holds no container that
     # could carry state from one call to the next
@@ -144,7 +144,7 @@ def test_scaling_v_max_defaults_to_m():
                 assert report.lines() == explicit.lines()
 
 
-def test_cache_file_roundtrip(capsys):
+def test_count_json_reads_back_exactly(capsys):
     # the package stores no counts; the JSON record of `count` is their
     # text form, and it reads back exactly, also far beyond float range
     for m in (2, 5):
@@ -155,7 +155,7 @@ def test_cache_file_roundtrip(capsys):
             assert record["sp"] == str(int(record["sp"]))
 
 
-def test_cache_file_is_sorted_single_spaced(capsys):
+def test_table_output_is_ordered_and_tab_separated(capsys):
     # `table` is the one text format that lists many counts: one tab
     # between fields, canonical base-10 values, moduli and weights in order
     assert main(["table", "25", "3", "5"]) == 0
@@ -367,6 +367,10 @@ def test_fold_refuses_a_table_too_shallow_for_the_weight(m):
     for depth in (-1, 0, 3):
         with pytest.raises(RuntimeError, match="too shallow"):
             recurrence._fold(recurrence._level_table(m, depth), n, m)
+    # no table: _fold builds one for the weight's own digits
+    for k in (0, 1, m - 1, n, 2**200):
+        assert recurrence._fold(None, k, m) == sp(k, m), k
+    assert recurrence._fold(None, 0, m) == recurrence._fold(None, m - 1, m) == 1
 
 
 @pytest.mark.parametrize(
